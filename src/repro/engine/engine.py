@@ -7,7 +7,7 @@ instance digest, options)`` — for chase results, disjunctive-chase
 branch sets, homomorphism-existence verdicts, cores, audits, and
 reverse certain answers, with size-bounded LRU eviction; and it fans
 batch operations out over ``concurrent.futures`` (processes for large
-instances, threads or a serial loop below the size threshold).
+instances, a serial loop below the size threshold).
 
 Because the chase, the disjunctive chase, and ``core`` are
 deterministic, caching is semantically transparent: a cache hit returns
@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, replace as dc_replace
 from threading import Lock
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -58,10 +59,8 @@ from .cache import LRUCache, TieredCache
 from .parallel import (
     ItemOutcome,
     chase_task,
-    chase_task_traced,
     make_executor,
     reverse_task,
-    reverse_task_traced,
     run_batch_isolated,
 )
 from .supervisor import run_batch_supervised, supervision_available
@@ -114,6 +113,31 @@ def _exhausted_tag(exhausted: Optional[Exhausted]) -> Optional[str]:
     return None if exhausted is None else exhausted.resource
 
 
+#: The :class:`OpRecord` work fields that ``engine.stats()`` also sums.
+_COUNTED = ("steps", "rounds", "triggers", "branches")
+
+
+def _chase_fields(entry: Tuple[ChaseResult, Instance], sized: bool) -> dict:
+    """A chase cache entry's work, as :class:`OpRecord` fields.
+
+    ``facts``/``nulls`` only when *sized*: counting the nulls scans a
+    store-backed instance, so only an emitted record pays for it."""
+    result = entry[0]
+    fields = {
+        "rounds": result.rounds,
+        "steps": result.steps,
+        "triggers": result.triggers_considered,
+    }
+    if sized:
+        fields.update(facts=len(result.instance), nulls=len(result.instance.nulls))
+    return fields
+
+
+def _reverse_fields(candidates: Tuple[Instance, ...], sized: bool) -> dict:
+    """A reverse cache entry's work, as :class:`OpRecord` fields."""
+    return {"branches": len(candidates)}
+
+
 class ExchangeEngine:
     """A session object for exchange operations with caching and fan-out.
 
@@ -128,7 +152,10 @@ class ExchangeEngine:
         the call does not pass its own.
     process_threshold:
         Batches whose largest instance has at least this many facts use
-        a process pool; smaller batches use threads or the serial loop.
+        a process pool; smaller batches run in the serial loop, where
+        process start-up and pickling cost more than they save.  There
+        is no thread pool: the chase holds the GIL, and threads did not
+        reliably beat the serial loop (see :mod:`repro.engine.parallel`).
     tracer:
         An :class:`repro.obs.Tracer` to receive cache hit/miss events,
         spans, and chase provenance.  When ``None`` (the default) the
@@ -317,6 +344,60 @@ class ExchangeEngine:
             counters.error_wall_time += error_wall_time
             counters.kills += kills
 
+    def _count(self, op: str, hit: bool, wall_time: float = 0.0, **work) -> None:
+        """Count one completed operation: a cache hit adds only its call,
+        a computed one also its wall time and the counted *work* fields."""
+        if hit:
+            self._record(op, calls=1)
+        else:
+            self._record(
+                op,
+                wall_time=wall_time,
+                **{name: work[name] for name in _COUNTED if name in work},
+            )
+
+    def _failed(
+        self, op: str, key: tuple, error: BaseException, wall_time: float, **batch
+    ) -> None:
+        """Count one failed computation and emit its error record."""
+        self._record(op, calls=1, errors=1, error_wall_time=wall_time)
+        self._emit_op(op, key, wall_time, error=error, **batch)
+
+    def _emit_op(
+        self,
+        op: str,
+        key: tuple,
+        wall_time: float,
+        exhausted: Optional[Exhausted] = None,
+        error: Optional[BaseException] = None,
+        profile: Optional[ChaseProfile] = None,
+        **fields,
+    ) -> None:
+        """Emit the :class:`OpRecord` of one chase or reverse operation.
+
+        Single and batch operations, computed, cached and failed, all
+        build their record here; a failure takes its budget diagnosis,
+        if any, from the exception, and a *profile* rides along in the
+        registry row.  A no-op without telemetry.
+        """
+        if not self._telemetry:
+            return
+        if error is not None:
+            exhausted = getattr(error, "diagnosis", None)
+        metrics = None if profile is None else {"profile": profile.to_summary()}
+        self._emit(
+            OpRecord(
+                op=op,
+                mapping_digest=key[1],
+                instance_digest=key[2],
+                wall_time=wall_time,
+                exhausted=_exhausted_tag(exhausted),
+                error=None if error is None else type(error).__name__,
+                **fields,
+            ),
+            metrics=metrics,
+        )
+
     @property
     def _telemetry(self) -> bool:
         """Is any sink or registry configured?  (The off-path guard.)"""
@@ -433,62 +514,39 @@ class ExchangeEngine:
                             profiler=profiler,
                         )
             except Exception as error:
-                elapsed = self._clock() - start
-                self._record(
-                    "chase", calls=1, errors=1, error_wall_time=elapsed
-                )
-                if self._telemetry:
-                    self._emit(
-                        OpRecord(
-                            op="chase",
-                            mapping_digest=key[1],
-                            instance_digest=key[2],
-                            wall_time=elapsed,
-                            error=type(error).__name__,
-                            exhausted=_exhausted_tag(
-                                getattr(error, "diagnosis", None)
-                            ),
-                        )
-                    )
+                self._failed("chase", key, error, self._clock() - start)
                 raise
             restricted = result.restricted_to(mapping.target.names)
             elapsed = self._clock() - start
             entry = (result, restricted)
             if result.exhausted is None:
                 self._caches["chase"].put(key, entry)
-            self._record(
-                "chase",
-                wall_time=elapsed,
-                steps=result.steps,
-                rounds=result.rounds,
-                triggers=result.triggers_considered,
-            )
             if profiler is not None:
                 self.last_profile = profiler.profile(total_time=elapsed)
-        else:
-            self._record("chase", calls=1)
+        exhausted = entry[0].exhausted
+        fields = _chase_fields(entry, self._telemetry)
+        self._count("chase", hit, elapsed, **fields)
+        self._emit_op(
+            "chase",
+            key,
+            elapsed,
+            exhausted=exhausted,
+            profile=self.last_profile,
+            cache_hit=hit,
+            **fields,
+        )
+        return self._exchange_result(key, entry, hit, exhausted, elapsed)
+
+    def _exchange_result(
+        self,
+        key: tuple,
+        entry: Tuple[ChaseResult, Instance],
+        hit: bool,
+        exhausted: Optional[Exhausted],
+        elapsed: float = 0.0,
+    ) -> ExchangeResult:
+        """A chase cache entry as the caller-facing :class:`ExchangeResult`."""
         result, restricted = entry
-        if self._telemetry:
-            self._emit(
-                OpRecord(
-                    op="chase",
-                    mapping_digest=key[1],
-                    instance_digest=key[2],
-                    wall_time=elapsed,
-                    cache_hit=hit,
-                    rounds=result.rounds,
-                    steps=result.steps,
-                    facts=len(result.instance),
-                    nulls=len(result.instance.nulls),
-                    triggers=result.triggers_considered,
-                    exhausted=_exhausted_tag(result.exhausted),
-                ),
-                metrics=(
-                    {"profile": self.last_profile.to_summary()}
-                    if self.last_profile is not None
-                    else None
-                ),
-            )
         return ExchangeResult(
             instance=restricted,
             full=result.instance,
@@ -501,7 +559,7 @@ class ExchangeEngine:
                 delta_sizes=result.delta_sizes,
             ),
             provenance=CacheProvenance(self._key_id(key), hit),
-            exhausted=result.exhausted,
+            exhausted=exhausted,
         )
 
     def _sql_chase_result(
@@ -570,22 +628,6 @@ class ExchangeEngine:
             mapping, source, variant=variant, limits=limits
         ).to_chase_result()
 
-    def _batch_policy(
-        self,
-        on_error: Optional[str],
-        retries: Optional[int],
-        faults: Optional[FaultPlan],
-    ) -> Tuple[str, int, Optional[FaultPlan]]:
-        """Resolve per-call batch knobs over the engine defaults."""
-        policy = on_error if on_error is not None else self.on_error
-        if policy not in _ON_ERROR:
-            raise ValueError(
-                f"on_error must be one of {_ON_ERROR}, got {policy!r}"
-            )
-        budget = retries if retries is not None else self.retries
-        plan = faults if faults is not None else current_fault_plan()
-        return policy, budget, plan
-
     def _run_batch(
         self,
         payloads: Sequence[tuple],
@@ -603,8 +645,8 @@ class ExchangeEngine:
         process, and a worker whose heartbeat goes silent past the
         grace period is terminated and respawned
         (:mod:`repro.engine.supervisor`).  Supervision always uses
-        processes, even for batches the size policy would keep on
-        threads or the serial loop — threads cannot be killed.
+        processes, even for batches the size policy would keep on the
+        serial loop — only a separate process can be killed.
 
         The supervised batch deadline is ``deadline + (1 + retries) *
         grace``: the extra grace periods are the supervisor's own
@@ -681,9 +723,9 @@ class ExchangeEngine:
 
         Content-addressed dedup runs first — structurally identical
         instances (and anything already cached) are chased once — then
-        the remaining unique work goes to a process pool, thread pool,
-        or serial loop per the size policy.  Results come back in input
-        order and are fact-for-fact identical to the serial path.
+        the remaining unique work goes to a process pool or the serial
+        loop per the size policy.  Results come back in input order and
+        are fact-for-fact identical to the serial path.
 
         Items are **fault isolated**: one item failing does not abandon
         the batch.  Under ``on_error="skip"`` each failed item resolves
@@ -698,162 +740,158 @@ class ExchangeEngine:
         plan) injects deterministic failures by batch index for tests —
         deduplicated items take the fault of their first occurrence.
         """
-        instances = list(instances)
-        workers = jobs if jobs is not None else (self.jobs or 1)
-        policy, retry_budget, plan = self._batch_policy(on_error, retries, faults)
-        effective = resolve_limits(limits, self.limits)
-        tracer = self._tracer()
         mapping_digest = mapping.digest()
-        keys = [
-            ("chase", mapping_digest, inst.digest(), variant) for inst in instances
-        ]
-        resolved: Dict[tuple, Tuple[tuple, bool]] = {}
+        names = mapping.target.names
+
+        def settle(result: ChaseResult):
+            return (result, result.restricted_to(names)), result.exhausted
+
+        return self._batch(
+            "chase",
+            instances,
+            key=lambda inst: ("chase", mapping_digest, inst.digest(), variant),
+            head=lambda inst: (mapping, inst, variant),
+            task=chase_task,
+            limits=resolve_limits(limits, self.limits),
+            settle=settle,
+            fields=_chase_fields,
+            build=self._exchange_result,
+            jobs=jobs,
+            on_error=on_error,
+            retries=retries,
+            faults=faults,
+        )
+
+    def _batch(
+        self,
+        op: str,
+        items: Iterable[Instance],
+        key: Callable[[Instance], tuple],
+        head: Callable[[Instance], tuple],
+        task: Callable[[tuple], tuple],
+        limits: Optional[Limits],
+        settle: Callable[[object], Tuple[object, Optional[Exhausted]]],
+        fields: Callable[[object, bool], dict],
+        build: Callable[[tuple, object, bool, Optional[Exhausted]], object],
+        jobs: Optional[int],
+        on_error: Optional[str],
+        retries: Optional[int],
+        faults: Optional[FaultPlan],
+    ) -> List[object]:
+        """Dedup, cache probe, fan-out and reassembly for one batch op.
+
+        The sequence behind :meth:`chase_many` and :meth:`reverse_many`.
+        Each caller supplies what differs between its operations: an
+        item's cache *key*; the *head* of its task payload (the routine
+        appends ``(traced, ctx, limits, fault, attempt)``); how *settle*
+        turns a task value into a cache entry and its budget diagnosis;
+        an entry's :class:`OpRecord` work *fields* (sized only when a
+        record is emitted); and how *build* turns ``(key, entry, hit,
+        exhausted)`` into the item's result.
+
+        Every unique item emits one record — cache hit, computed or
+        failed — stamped with the batch index of its first occurrence;
+        in-batch duplicates fold into that occurrence.
+        """
+        policy = on_error if on_error is not None else self.on_error
+        if policy not in _ON_ERROR:
+            raise ValueError(f"on_error must be one of {_ON_ERROR}, got {policy!r}")
+        retry_budget = retries if retries is not None else self.retries
+        plan = faults if faults is not None else current_fault_plan()
+        workers = jobs if jobs is not None else (self.jobs or 1)
+        items = list(items)
+        tracer = self._tracer()
+        cache = self._caches[op]
+        keys = [key(item) for item in items]
+        resolved: Dict[tuple, Tuple[object, bool, Optional[Exhausted]]] = {}
         failed: Dict[tuple, ItemOutcome] = {}
         pending: Dict[tuple, Tuple[Instance, int]] = {}
-        for index, (key, inst) in enumerate(zip(keys, instances)):
-            if key in resolved or key in pending:
+        for index, (item_key, item) in enumerate(zip(keys, items)):
+            if item_key in resolved or item_key in pending:
                 continue
-            hit, entry = self._caches["chase"].get(key)
-            self._cache_event(tracer, "chase", key, hit)
+            hit, entry = cache.get(item_key)
+            self._cache_event(tracer, op, item_key, hit)
             if hit:
-                resolved[key] = (entry, True)
-                self._record("chase", calls=1)
+                resolved[item_key] = (entry, True, None)
+                work = fields(entry, self._telemetry)
+                self._count(op, True, **work)
+                self._emit_op(
+                    op, item_key, 0.0, cache_hit=True, batch_index=index, **work
+                )
             else:
-                pending[key] = (inst, index)
+                pending[item_key] = (item, index)
         if pending:
-            todo = list(pending.items())
             context = current_context()
             ctx = context.to_dict() if context is not None else None
             payloads = [
-                (
-                    mapping,
-                    inst,
-                    variant,
+                head(item)
+                + (
+                    tracer is not None,
                     ctx,
-                    effective,
+                    limits,
                     plan.for_item(first) if plan else None,
                     1,
                 )
-                for _, (inst, first) in todo
+                for item, first in pending.values()
             ]
-            fn = chase_task_traced if tracer is not None else chase_task
             start = self._clock()
             with maybe_span(
-                tracer, "engine.chase_many", items=len(todo)
+                tracer, f"engine.{op}_many", items=len(pending)
             ) as batch_span:
                 outcomes = self._run_batch(
                     payloads,
-                    fn,
+                    task,
                     workers,
-                    max(len(inst) for inst, _ in pending.values()),
+                    max(len(item) for item, _ in pending.values()),
                     retry_budget,
-                    effective,
+                    limits,
                 )
             elapsed = self._clock() - start
-            for (key, (_inst, first)), outcome in zip(todo, outcomes):
-                self._note_kills(tracer, "chase", outcome, first)
+            for (item_key, (_item, first)), outcome in zip(pending.items(), outcomes):
+                self._note_kills(tracer, op, outcome, first)
+                batch = {
+                    "batch_index": first,
+                    "attempts": max(outcome.attempts, 1),
+                    "kills": outcome.kills,
+                }
                 if not outcome.ok:
-                    failed[key] = outcome
-                    self._record(
-                        "chase",
-                        calls=1,
-                        errors=1,
-                        error_wall_time=outcome.elapsed,
-                    )
-                    if self._telemetry:
-                        self._emit(
-                            OpRecord(
-                                op="chase",
-                                mapping_digest=key[1],
-                                instance_digest=key[2],
-                                wall_time=outcome.elapsed,
-                                error=type(outcome.error).__name__,
-                                exhausted=_exhausted_tag(
-                                    getattr(outcome.error, "diagnosis", None)
-                                ),
-                                batch_index=first,
-                                attempts=max(outcome.attempts, 1),
-                                kills=outcome.kills,
-                            )
-                        )
+                    failed[item_key] = outcome
+                    self._failed(op, item_key, outcome.error, outcome.elapsed, **batch)
                     continue
-                if tracer is not None:
-                    result, state = outcome.value
+                value, state = outcome.value
+                if state is not None:
                     tracer.absorb(
                         state,
                         parent_id=(
                             batch_span.span_id if batch_span is not None else None
                         ),
                     )
-                else:
-                    result = outcome.value
-                restricted = result.restricted_to(mapping.target.names)
-                entry = (result, restricted)
-                if result.exhausted is None:
-                    self._caches["chase"].put(key, entry)
-                resolved[key] = (entry, False)
-                self._record(
-                    "chase",
-                    steps=result.steps,
-                    rounds=result.rounds,
-                    triggers=result.triggers_considered,
-                    calls=1,
+                entry, exhausted = settle(value)
+                if exhausted is None:
+                    cache.put(item_key, entry)
+                resolved[item_key] = (entry, False, exhausted)
+                work = fields(entry, self._telemetry)
+                self._count(op, False, **work)
+                self._emit_op(
+                    op, item_key, outcome.elapsed, exhausted=exhausted, **work, **batch
                 )
-                if self._telemetry:
-                    self._emit(
-                        OpRecord(
-                            op="chase",
-                            mapping_digest=key[1],
-                            instance_digest=key[2],
-                            wall_time=outcome.elapsed,
-                            rounds=result.rounds,
-                            steps=result.steps,
-                            facts=len(result.instance),
-                            nulls=len(result.instance.nulls),
-                            triggers=result.triggers_considered,
-                            exhausted=_exhausted_tag(result.exhausted),
-                            batch_index=first,
-                            attempts=outcome.attempts,
-                            kills=outcome.kills,
-                        )
-                    )
-            self._record("chase", wall_time=elapsed, calls=0)
+            self._record(op, wall_time=elapsed, calls=0)
             if failed and policy == "raise":
-                for key in keys:
-                    if key in failed:
-                        raise failed[key].error
+                raise next(iter(failed.values())).error
         out: List[object] = []
-        for index, key in enumerate(keys):
-            if key in failed:
-                outcome = failed[key]
-                out.append(
-                    BatchItemError(
-                        index=index,
-                        op="chase",
-                        error=outcome.error,
-                        attempts=max(outcome.attempts, 1),
-                        elapsed=outcome.elapsed,
-                        kind="killed"
-                        if isinstance(outcome.error, WorkerKilled)
-                        else None,
-                    )
-                )
+        for index, item_key in enumerate(keys):
+            outcome = failed.get(item_key)
+            if outcome is None:
+                out.append(build(item_key, *resolved[item_key]))
                 continue
-            (result, restricted), hit = resolved[key]
             out.append(
-                ExchangeResult(
-                    instance=restricted,
-                    full=result.instance,
-                    generated=frozenset(result.generated),
-                    stats=OperationStats(
-                        0.0,
-                        result.steps,
-                        result.rounds,
-                        triggers_considered=result.triggers_considered,
-                        delta_sizes=result.delta_sizes,
-                    ),
-                    provenance=CacheProvenance(self._key_id(key), hit),
-                    exhausted=result.exhausted,
+                BatchItemError(
+                    index=index,
+                    op=op,
+                    error=outcome.error,
+                    attempts=max(outcome.attempts, 1),
+                    elapsed=outcome.elapsed,
+                    kind="killed" if isinstance(outcome.error, WorkerKilled) else None,
                 )
             )
         return out
@@ -911,63 +949,28 @@ class ExchangeEngine:
                         profiler=profiler,
                     )
             except Exception as error:
-                elapsed = self._clock() - start
-                self._record(
-                    "reverse", calls=1, errors=1, error_wall_time=elapsed
-                )
-                if self._telemetry:
-                    self._emit(
-                        OpRecord(
-                            op="reverse",
-                            mapping_digest=key[1],
-                            instance_digest=key[2],
-                            wall_time=elapsed,
-                            error=type(error).__name__,
-                            exhausted=_exhausted_tag(
-                                getattr(error, "diagnosis", None)
-                            ),
-                        )
-                    )
+                self._failed("reverse", key, error, self._clock() - start)
                 raise
             candidates = tuple(branches)
             exhausted = branches.exhausted
             elapsed = self._clock() - start
             if exhausted is None:
                 self._caches["reverse"].put(key, candidates)
-            triggers = 0
             if profiler is not None:
                 self.last_profile = profiler.profile(total_time=elapsed)
-                triggers = self.last_profile.triggers_considered
-            self._record(
-                "reverse",
-                wall_time=elapsed,
-                branches=len(candidates),
-                triggers=triggers,
-            )
-        else:
-            self._record("reverse", calls=1)
-        if self._telemetry:
-            self._emit(
-                OpRecord(
-                    op="reverse",
-                    mapping_digest=key[1],
-                    instance_digest=key[2],
-                    wall_time=elapsed,
-                    cache_hit=hit,
-                    branches=len(candidates),
-                    triggers=(
-                        self.last_profile.triggers_considered
-                        if self.last_profile is not None
-                        else 0
-                    ),
-                    exhausted=_exhausted_tag(exhausted),
-                ),
-                metrics=(
-                    {"profile": self.last_profile.to_summary()}
-                    if self.last_profile is not None
-                    else None
-                ),
-            )
+        fields = _reverse_fields(candidates, self._telemetry)
+        if self.last_profile is not None:
+            fields["triggers"] = self.last_profile.triggers_considered
+        self._count("reverse", hit, elapsed, **fields)
+        self._emit_op(
+            "reverse",
+            key,
+            elapsed,
+            exhausted=exhausted,
+            profile=self.last_profile,
+            cache_hit=hit,
+            **fields,
+        )
         return hit, key, candidates, exhausted
 
     def reverse(
@@ -993,14 +996,24 @@ class ExchangeEngine:
             hit, key, candidates, exhausted = self._reverse_branches(
                 reverse_mapping, target, max_nulls, minimize, max_branches, limits
             )
+            provenance = CacheProvenance(self._key_id(key), hit)
         else:
             forward = self.exchange(reverse_mapping, target, limits=limits)
-            hit, key, candidates, exhausted = (
-                forward.cached,
-                ("chase", reverse_mapping.digest(), target.digest(), "restricted"),
-                (forward.instance,),
-                forward.exhausted,
-            )
+            candidates = (forward.instance,)
+            provenance, exhausted = forward.provenance, forward.exhausted
+        return self._reverse_result(candidates, provenance, exhausted, take_core)
+
+    def _reverse_result(
+        self,
+        candidates: Tuple[Instance, ...],
+        provenance: CacheProvenance,
+        exhausted: Optional[Exhausted],
+        take_core: bool,
+    ) -> ReverseResult:
+        """Candidate sources as the caller-facing :class:`ReverseResult`.
+
+        An empty branch set reads as the empty instance; *take_core*
+        folds every candidate to its core through the core cache."""
         if not candidates:
             candidates = (Instance(),)
         if take_core:
@@ -1009,7 +1022,7 @@ class ExchangeEngine:
             candidates=candidates,
             canonical=candidates[0],
             stats=OperationStats(branches=len(candidates)),
-            provenance=CacheProvenance(self._key_id(key), hit),
+            provenance=provenance,
             exhausted=exhausted,
         )
 
@@ -1055,195 +1068,60 @@ class ExchangeEngine:
         :meth:`chase_many` (under ``on_error="skip"`` failed items
         resolve to :class:`repro.errors.BatchItemError`, ``op="reverse"``).
         """
-        targets = list(targets)
-        workers = jobs if jobs is not None else (self.jobs or 1)
-        policy, retry_budget, plan = self._batch_policy(on_error, retries, faults)
-        tracer = self._tracer()
-        disjunctive = (
-            reverse_mapping.is_disjunctive() or reverse_mapping.uses_inequality()
-        )
-        if not disjunctive:
+        if not (reverse_mapping.is_disjunctive() or reverse_mapping.uses_inequality()):
             forward = self.chase_many(
                 reverse_mapping,
                 targets,
-                jobs=workers,
+                jobs=jobs,
                 limits=limits,
-                on_error=policy,
-                retries=retry_budget,
-                faults=plan,
+                on_error=on_error,
+                retries=retries,
+                faults=faults,
             )
-            results: List[object] = []
-            for index, item in enumerate(forward):
-                if isinstance(item, BatchItemError):
-                    results.append(
-                        BatchItemError(
-                            index=index,
-                            op="reverse",
-                            error=item.error,
-                            attempts=item.attempts,
-                            diagnosis=item.diagnosis,
-                            elapsed=item.elapsed,
-                            kind=item.kind,
-                        )
-                    )
-                    continue
-                candidates: Tuple[Instance, ...] = (item.instance,)
-                if take_core:
-                    candidates = tuple(self.core(c) for c in candidates)
-                results.append(
-                    ReverseResult(
-                        candidates=candidates,
-                        canonical=candidates[0],
-                        stats=OperationStats(branches=1),
-                        provenance=item.provenance,
-                        exhausted=item.exhausted,
-                    )
+            return [
+                BatchItemError(
+                    index=item.index,
+                    op="reverse",
+                    error=item.error,
+                    attempts=item.attempts,
+                    diagnosis=item.diagnosis,
+                    elapsed=item.elapsed,
+                    kind=item.kind,
                 )
-            return results
-        task_limits = self._reverse_limits(max_branches, limits)
-        mapping_digest = reverse_mapping.digest()
-        keys = [
-            ("reverse", mapping_digest, t.digest(), max_nulls, minimize, max_branches)
-            for t in targets
-        ]
-        resolved: Dict[tuple, Tuple[Tuple[Instance, ...], bool, Optional[Exhausted]]] = {}
-        failed: Dict[tuple, ItemOutcome] = {}
-        pending: Dict[tuple, Tuple[Instance, int]] = {}
-        for index, (key, target) in enumerate(zip(keys, targets)):
-            if key in resolved or key in pending:
-                continue
-            hit, candidates = self._caches["reverse"].get(key)
-            self._cache_event(tracer, "reverse", key, hit)
-            if hit:
-                resolved[key] = (candidates, True, None)
-                self._record("reverse", calls=1)
-            else:
-                pending[key] = (target, index)
-        if pending:
-            todo = list(pending.items())
-            context = current_context()
-            ctx = context.to_dict() if context is not None else None
-            payloads = [
-                (
-                    reverse_mapping,
-                    t,
-                    max_nulls,
-                    minimize,
-                    ctx,
-                    task_limits,
-                    plan.for_item(first) if plan else None,
-                    1,
+                if isinstance(item, BatchItemError)
+                else self._reverse_result(
+                    (item.instance,), item.provenance, item.exhausted, take_core
                 )
-                for _, (t, first) in todo
+                for item in forward
             ]
-            fn = reverse_task_traced if tracer is not None else reverse_task
-            start = self._clock()
-            with maybe_span(
-                tracer, "engine.reverse_many", items=len(todo)
-            ) as batch_span:
-                outcomes = self._run_batch(
-                    payloads,
-                    fn,
-                    workers,
-                    max(len(t) for t, _ in pending.values()),
-                    retry_budget,
-                    task_limits,
-                )
-            elapsed = self._clock() - start
-            for (key, (_target, first)), outcome in zip(todo, outcomes):
-                self._note_kills(tracer, "reverse", outcome, first)
-                if not outcome.ok:
-                    failed[key] = outcome
-                    self._record(
-                        "reverse",
-                        calls=1,
-                        errors=1,
-                        error_wall_time=outcome.elapsed,
-                    )
-                    if self._telemetry:
-                        self._emit(
-                            OpRecord(
-                                op="reverse",
-                                mapping_digest=key[1],
-                                instance_digest=key[2],
-                                wall_time=outcome.elapsed,
-                                error=type(outcome.error).__name__,
-                                exhausted=_exhausted_tag(
-                                    getattr(outcome.error, "diagnosis", None)
-                                ),
-                                batch_index=first,
-                                attempts=max(outcome.attempts, 1),
-                                kills=outcome.kills,
-                            )
-                        )
-                    continue
-                if tracer is not None:
-                    branches, state = outcome.value
-                    tracer.absorb(
-                        state,
-                        parent_id=(
-                            batch_span.span_id if batch_span is not None else None
-                        ),
-                    )
-                else:
-                    branches = outcome.value
-                candidates = tuple(branches)
-                exhausted = getattr(branches, "exhausted", None)
-                if exhausted is None:
-                    self._caches["reverse"].put(key, candidates)
-                resolved[key] = (candidates, False, exhausted)
-                self._record("reverse", branches=len(candidates), calls=1)
-                if self._telemetry:
-                    self._emit(
-                        OpRecord(
-                            op="reverse",
-                            mapping_digest=key[1],
-                            instance_digest=key[2],
-                            wall_time=outcome.elapsed,
-                            branches=len(candidates),
-                            exhausted=_exhausted_tag(exhausted),
-                            batch_index=first,
-                            attempts=outcome.attempts,
-                            kills=outcome.kills,
-                        )
-                    )
-            self._record("reverse", wall_time=elapsed, calls=0)
-            if failed and policy == "raise":
-                for key in keys:
-                    if key in failed:
-                        raise failed[key].error
-        results = []
-        for index, key in enumerate(keys):
-            if key in failed:
-                outcome = failed[key]
-                results.append(
-                    BatchItemError(
-                        index=index,
-                        op="reverse",
-                        error=outcome.error,
-                        attempts=max(outcome.attempts, 1),
-                        elapsed=outcome.elapsed,
-                        kind="killed"
-                        if isinstance(outcome.error, WorkerKilled)
-                        else None,
-                    )
-                )
-                continue
-            candidates, hit, exhausted = resolved[key]
-            if not candidates:
-                candidates = (Instance(),)
-            if take_core:
-                candidates = tuple(self.core(c) for c in candidates)
-            results.append(
-                ReverseResult(
-                    candidates=candidates,
-                    canonical=candidates[0],
-                    stats=OperationStats(branches=len(candidates)),
-                    provenance=CacheProvenance(self._key_id(key), hit),
-                    exhausted=exhausted,
-                )
-            )
-        return results
+        mapping_digest = reverse_mapping.digest()
+
+        def build(key, candidates, hit, exhausted):
+            provenance = CacheProvenance(self._key_id(key), hit)
+            return self._reverse_result(candidates, provenance, exhausted, take_core)
+
+        return self._batch(
+            "reverse",
+            targets,
+            key=lambda target: (
+                "reverse",
+                mapping_digest,
+                target.digest(),
+                max_nulls,
+                minimize,
+                max_branches,
+            ),
+            head=lambda target: (reverse_mapping, target, max_nulls, minimize),
+            task=reverse_task,
+            limits=self._reverse_limits(max_branches, limits),
+            settle=lambda branches: (tuple(branches), branches.exhausted),
+            fields=_reverse_fields,
+            build=build,
+            jobs=jobs,
+            on_error=on_error,
+            retries=retries,
+            faults=faults,
+        )
 
     # ------------------------------------------------------------------
     # Homomorphisms and cores
@@ -1264,9 +1142,7 @@ class ExchangeEngine:
                 verdict = is_homomorphic(left, right)
             elapsed = self._clock() - start
             self._caches["hom"].put(key, verdict)
-            self._record("hom", wall_time=elapsed)
-        else:
-            self._record("hom", calls=1)
+        self._count("hom", hit, elapsed)
         if self._telemetry:
             self._emit(
                 OpRecord(
@@ -1297,9 +1173,7 @@ class ExchangeEngine:
                 folded = core(instance)
             elapsed = self._clock() - start
             self._caches["core"].put(key, folded)
-            self._record("core", wall_time=elapsed)
-        else:
-            self._record("core", calls=1)
+        self._count("core", hit, elapsed)
         if self._telemetry:
             self._emit(
                 OpRecord(
@@ -1351,9 +1225,7 @@ class ExchangeEngine:
                 )
             elapsed = self._clock() - start
             self._caches["audit"].put(key, entry)
-            self._record("audit", wall_time=elapsed)
-        else:
-            self._record("audit", calls=1)
+        self._count("audit", hit, elapsed)
         if self._telemetry:
             self._emit(
                 OpRecord(
@@ -1410,9 +1282,7 @@ class ExchangeEngine:
                 answers = certain_answers_over_set(query, branches)
             elapsed = self._clock() - start
             self._caches["answer"].put(key, answers)
-            self._record("answer", wall_time=elapsed)
-        else:
-            self._record("answer", calls=1)
+        self._count("answer", hit, elapsed)
         if self._telemetry:
             self._emit(
                 OpRecord(

@@ -3,14 +3,22 @@
 ``chase_many``/``reverse_many`` fan unique work items out over
 ``concurrent.futures``.  The policy, per the engine design:
 
-* **serial** when there is one job, one item, or one CPU — no pool can
-  beat the plain loop there, and the batch path still wins through
+* **serial** when there is one job, one item, or one CPU, or when the
+  largest instance has fewer than ``process_threshold`` facts — no pool
+  beats the plain loop there, and the batch path still wins through
   content-addressed dedup;
-* **threads** for batches of small instances — task setup dominates, so
-  the cheap pool is right even though the chase holds the GIL;
 * **processes** for batches with large instances (``process_threshold``
   facts or more) — the chase is CPU-bound, instances and mappings are
   picklable, and fork-based workers amortize the serialization cost.
+
+Each side of the threshold wins somewhere.  On a 2-core x86 host, with
+16 unique instances per ``chase_many`` batch and the cache off,
+processes lose at 20 facts (path2: 74 ms against 34 ms serial) and win
+at 150 facts (decomposition: 285 ms against 373 ms).  There is no
+thread-pool lane: the chase holds the GIL, and on the same host threads
+never reliably beat the serial loop (path2, decomposition and hr_split
+at 20 to 199 facts: medians within ±11% of serial, at most 5 wins in 7
+paired runs).
 
 Batch execution is **fault isolated**: one item crashing (a worker
 exception, a broken pool, an injected fault) no longer takes the whole
@@ -20,30 +28,27 @@ killed the item — retries *transient* failures up to a retry budget,
 and enforces an executor-level deadline by cancelling whatever has not
 finished when time runs out.
 
-Task functions live at module scope so they pickle by reference.  Every
-payload ends with ``(..., limits, fault, attempt)``: ``limits`` is the
-per-item :class:`repro.limits.Limits` (or ``None`` for legacy
-behavior), ``fault`` the per-item :class:`repro.limits.Fault` from a
+Task functions live at module scope so they pickle by reference, and
+return ``(value, TraceState | None)``.  Every payload ends with
+``(..., limits, fault, attempt)``: ``limits`` is the per-item
+:class:`repro.limits.Limits` (or ``None`` for legacy behavior),
+``fault`` the per-item :class:`repro.limits.Fault` from a
 test/CI fault plan (or ``None``), and ``attempt`` the 1-based attempt
 number — the retry loop resubmits the same payload with only the last
 element bumped.  The element *before* the trailing triple is ``ctx``,
 the caller's serialized :class:`repro.obs.context.TraceContext` (a
 plain dict, or ``None`` outside a request): task functions restore it
 as the worker's ambient context so spans and records produced in the
-worker carry the originating request's ids."""
+worker carry the originating request's ids.  The element before
+``ctx`` is ``traced``: whether the task records into a private tracer
+and ships its state back."""
 
 from __future__ import annotations
 
 import os
 import time
 from contextlib import nullcontext
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
@@ -135,89 +140,50 @@ def _scope(ctx: Optional[dict]):
 
 def chase_task(
     payload: Tuple[
-        SchemaMapping, Instance, str, Optional[dict], Optional[Limits], Optional[Fault], int
+        SchemaMapping, Instance, str, bool, Optional[dict], Optional[Limits], Optional[Fault], int
     ]
-) -> ChaseResult:
-    """Chase one instance (runs inside a worker; must stay picklable)."""
-    mapping, instance, variant, ctx, limits, fault, attempt = payload
-    trip(fault, attempt)
-    with _scope(ctx):
-        return chase(instance, mapping.dependencies, variant=variant, limits=limits)
+) -> Tuple[ChaseResult, Optional[TraceState]]:
+    """Chase one instance (runs inside a worker; must stay picklable).
 
-
-def chase_task_traced(
-    payload: Tuple[
-        SchemaMapping, Instance, str, Optional[dict], Optional[Limits], Optional[Fault], int
-    ]
-) -> Tuple[ChaseResult, TraceState]:
-    """Chase one instance under a private tracer; ship the trace back.
-
-    Worker processes cannot share the parent's tracer, so each traced
-    task records into a fresh local tracer and returns its picklable
-    :class:`TraceState`; the engine absorbs the states on join.  The
-    same shape runs in thread-pool and serial batches for uniformity.
+    With ``traced`` set the chase records into a private tracer whose
+    picklable :class:`TraceState` ships back with the result: worker
+    processes cannot share the parent's tracer, so the engine absorbs
+    the states on join.  The serial loop runs the same shape.
     """
-    mapping, instance, variant, ctx, limits, fault, attempt = payload
+    mapping, instance, variant, traced, ctx, limits, fault, attempt = payload
     trip(fault, attempt)
-    local = Tracer()
+    local = Tracer() if traced else None
     with _scope(ctx):
         result = chase(
             instance, mapping.dependencies, variant=variant, tracer=local, limits=limits
         )
-    return result, local.export_state()
+    return result, local.export_state() if local is not None else None
 
 
 def reverse_task(
     payload: Tuple[
-        SchemaMapping, Instance, int, bool, Optional[dict], Optional[Limits], Optional[Fault], int
+        SchemaMapping, Instance, int, bool, bool, Optional[dict], Optional[Limits], Optional[Fault], int
     ]
-) -> Branches:
-    """Reverse-chase one target instance inside a worker."""
-    mapping, target, max_nulls, minimize, ctx, limits, fault, attempt = payload
+) -> Tuple[Branches, Optional[TraceState]]:
+    """Reverse-chase one target with a disjunctive mapping inside a worker.
+
+    Plain-tgd mappings never get here: ``reverse_many`` routes them
+    through ``chase_many``.  ``traced`` works as in :func:`chase_task`.
+    """
+    mapping, target, max_nulls, minimize, traced, ctx, limits, fault, attempt = payload
     trip(fault, attempt)
+    local = Tracer() if traced else None
     with _scope(ctx):
-        if mapping.is_disjunctive() or mapping.uses_inequality():
-            return reverse_disjunctive_chase(
-                target,
-                mapping.dependencies,
-                result_relations=mapping.target.names,
-                max_nulls=max_nulls,
-                minimize=minimize,
-                limits=limits,
-            )
-        result = chase(target, mapping.dependencies, limits=limits)
-    branches = Branches([result.restricted_to(mapping.target.names)])
-    branches.exhausted = result.exhausted
-    return branches
-
-
-def reverse_task_traced(
-    payload: Tuple[
-        SchemaMapping, Instance, int, bool, Optional[dict], Optional[Limits], Optional[Fault], int
-    ]
-) -> Tuple[Branches, TraceState]:
-    """Traced counterpart of :func:`reverse_task`.
-
-    See :func:`chase_task_traced` for the per-worker tracer protocol."""
-    mapping, target, max_nulls, minimize, ctx, limits, fault, attempt = payload
-    trip(fault, attempt)
-    local = Tracer()
-    with _scope(ctx):
-        if mapping.is_disjunctive() or mapping.uses_inequality():
-            branches = reverse_disjunctive_chase(
-                target,
-                mapping.dependencies,
-                result_relations=mapping.target.names,
-                max_nulls=max_nulls,
-                minimize=minimize,
-                limits=limits,
-                tracer=local,
-            )
-        else:
-            result = chase(target, mapping.dependencies, tracer=local, limits=limits)
-            branches = Branches([result.restricted_to(mapping.target.names)])
-            branches.exhausted = result.exhausted
-    return branches, local.export_state()
+        branches = reverse_disjunctive_chase(
+            target,
+            mapping.dependencies,
+            result_relations=mapping.target.names,
+            max_nulls=max_nulls,
+            minimize=minimize,
+            limits=limits,
+            tracer=local,
+        )
+    return branches, local.export_state() if local is not None else None
 
 
 def make_executor(
@@ -225,28 +191,12 @@ def make_executor(
 ) -> Optional[Executor]:
     """Pick an executor for a batch, or ``None`` for the serial loop."""
     workers = min(jobs, items)
-    if workers <= 1 or (os.cpu_count() or 1) <= 1:
+    if workers <= 1 or (os.cpu_count() or 1) <= 1 or largest < process_threshold:
         return None
-    if largest >= process_threshold:
-        try:
-            return ProcessPoolExecutor(max_workers=workers)
-        except (OSError, ValueError):  # pragma: no cover - sandboxed hosts
-            pass
-    return ThreadPoolExecutor(max_workers=workers)
-
-
-def run_batch(tasks: Sequence, fn, executor: Optional[Executor]) -> list:
-    """Run *fn* over *tasks*, preserving order; serial when no executor.
-
-    The legacy all-or-nothing runner: the first exception propagates and
-    abandons the batch.  Kept for callers that want exactly that
-    (``on_error="raise"`` with no retries); everything else goes through
-    :func:`run_batch_isolated`.
-    """
-    if executor is None:
-        return [fn(task) for task in tasks]
-    with executor:
-        return list(executor.map(fn, tasks))
+    try:
+        return ProcessPoolExecutor(max_workers=workers)
+    except (OSError, ValueError):  # pragma: no cover - sandboxed hosts
+        return None
 
 
 def run_batch_isolated(

@@ -109,21 +109,17 @@ class TestEngineTracing:
 class TestBatchTraceMerging:
     SOURCES = [Instance.parse(f"P(a{i}, b{i}, c{i})") for i in range(4)]
 
-    def test_chase_many_serial_merges_worker_traces(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_chase_many_merges_worker_traces(self, jobs):
+        # Below process_threshold both job counts run the serial loop.
         engine = ExchangeEngine(tracer=Tracer())
-        results = engine.chase_many(DECOMP, self.SOURCES, jobs=1)
+        results = engine.chase_many(DECOMP, self.SOURCES, jobs=jobs)
         fired = [e for e in engine.tracer.events if e.kind == "trigger_fired"]
         assert len(fired) == len(self.SOURCES)
         graph = engine.tracer.provenance
         for result in results:
             for f in result.generated:
                 assert graph.why(f) is not None
-
-    def test_chase_many_threaded_merges_worker_traces(self):
-        engine = ExchangeEngine(tracer=Tracer())
-        results = engine.chase_many(DECOMP, self.SOURCES, jobs=2)
-        fired = [e for e in engine.tracer.events if e.kind == "trigger_fired"]
-        assert len(fired) == len(self.SOURCES)
         assert [r.instance for r in results] == [
             ExchangeEngine().chase(DECOMP, s) for s in self.SOURCES
         ]

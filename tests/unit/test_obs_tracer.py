@@ -276,7 +276,7 @@ def _traced_worker_chase(ctx_dict: dict):
     """Pool-side task for the cross-process stitching test.
 
     Runs a chase under its own tracer inside the restored ambient
-    context — the same shape the engine's ``chase_task_traced`` and the
+    context — the same shape the engine's traced ``chase_task`` and the
     serve worker's ``execute_op`` use — and ships the trace state back.
     """
     from repro.obs import TraceContext, context_scope

@@ -32,9 +32,9 @@ failed) and ``--retries N`` for transiently failing items.
 
 Worker supervision (see ``docs/ARCHITECTURE.md`` §5): ``--grace S``
 together with ``--deadline`` arms the hard-kill watchdog for batch
-runs — each item runs in its own heartbeat-watched worker process, and
-a worker silent for more than the grace period past its deadline is
-terminated and its item failed as *killed* (or retried under
+runs — items run on heartbeat-watched worker processes, and a worker
+silent for more than the grace period past its deadline is terminated,
+its slot respawned, and its item failed as *killed* (or retried under
 ``--retries``).  Kills are noted on stderr and, when any item ends
 killed, the exit code is 7 (taking precedence over the generic batch
 failure code 5).

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .cache import CacheStats, LRUCache
 from .engine import ExchangeEngine
-from .supervisor import run_batch_supervised, supervision_available
+from .supervisor import run_batch_supervised
 from .results import (
     AuditReport,
     CacheProvenance,
@@ -73,5 +73,4 @@ __all__ = [
     "get_default_engine",
     "run_batch_supervised",
     "set_default_engine",
-    "supervision_available",
 ]

@@ -59,11 +59,11 @@ from .cache import LRUCache, TieredCache
 from .parallel import (
     ItemOutcome,
     chase_task,
-    make_executor,
+    pool_size,
     reverse_task,
     run_batch_isolated,
 )
-from .supervisor import run_batch_supervised, supervision_available
+from .supervisor import run_batch_supervised
 from .results import (
     AuditReport,
     CacheProvenance,
@@ -152,7 +152,7 @@ class ExchangeEngine:
         the call does not pass its own.
     process_threshold:
         Batches whose largest instance has at least this many facts use
-        a process pool; smaller batches run in the serial loop, where
+        the worker pool; smaller batches run in the serial loop, where
         process start-up and pickling cost more than they save.  There
         is no thread pool: the chase holds the GIL, and threads did not
         reliably beat the serial loop (see :mod:`repro.engine.parallel`).
@@ -639,14 +639,15 @@ class ExchangeEngine:
     ) -> List[ItemOutcome]:
         """Dispatch one batch of payloads to the right runner.
 
-        **Supervised** (hard-kill) execution runs when the effective
-        limits arm it — both ``grace`` and ``deadline`` set — and the
-        host can spawn processes: each item gets its own watched worker
-        process, and a worker whose heartbeat goes silent past the
-        grace period is terminated and respawned
-        (:mod:`repro.engine.supervisor`).  Supervision always uses
-        processes, even for batches the size policy would keep on the
-        serial loop — only a separate process can be killed.
+        A batch runs on the serial loop (:func:`run_batch_isolated`) or
+        on the supervised worker pool
+        (:func:`repro.engine.supervisor.run_batch_supervised`).  When
+        the effective limits arm supervision — both ``grace`` and
+        ``deadline`` set — the batch always uses the pool, even one the
+        size policy would keep on the serial loop, since only a separate
+        process can be killed: a worker whose heartbeat goes silent past
+        the grace period is terminated and its slot respawned.
+        Otherwise :func:`pool_size` picks, and the pool never kills.
 
         The supervised batch deadline is ``deadline + (1 + retries) *
         grace``: the extra grace periods are the supervisor's own
@@ -656,36 +657,22 @@ class ExchangeEngine:
         construction lands *after* the cooperative deadline — would
         always find the batch already stopped and the documented
         retry-with-remaining-deadline path could never run.
-
-        Everything else goes through the cooperative
-        :func:`make_executor` policy and
-        :func:`run_batch_isolated`.
         """
-        if (
-            effective is not None
-            and effective.grace is not None
-            and effective.deadline is not None
-            and supervision_available()
-        ):
-            return run_batch_supervised(
-                payloads,
-                fn,
-                workers=max(1, workers),
-                retries=retries,
-                deadline=effective.deadline
-                + (1 + retries) * effective.grace,
-                grace=effective.grace,
+        deadline = effective.deadline if effective is not None else None
+        grace = effective.grace if effective is not None else None
+        if grace is not None and deadline is not None:
+            workers = max(1, workers)
+            deadline += (1 + retries) * grace
+        else:
+            grace = None
+            workers = pool_size(
+                workers, len(payloads), largest, self.process_threshold
             )
-        executor = make_executor(
-            workers, len(payloads), largest, self.process_threshold
-        )
-        return run_batch_isolated(
-            payloads,
-            fn,
-            executor,
-            retries=retries,
-            deadline=effective.deadline if effective is not None else None,
-        )
+        if workers:
+            return run_batch_supervised(
+                payloads, fn, workers, retries, deadline=deadline, grace=grace
+            )
+        return run_batch_isolated(payloads, fn, retries=retries, deadline=deadline)
 
     def _note_kills(
         self, tracer: Optional[Tracer], op: str, outcome: ItemOutcome, index: int

@@ -1,7 +1,7 @@
-"""Executor selection, fault-isolated batch running, and task functions.
+"""Batch dispatch policy, the serial batch loop, and task functions.
 
-``chase_many``/``reverse_many`` fan unique work items out over
-``concurrent.futures``.  The policy, per the engine design:
+``chase_many``/``reverse_many`` fan unique work items out.  The policy,
+per the engine design (:func:`pool_size`):
 
 * **serial** when there is one job, one item, or one CPU, or when the
   largest instance has fewer than ``process_threshold`` facts — no pool
@@ -10,6 +10,9 @@
 * **processes** for batches with large instances (``process_threshold``
   facts or more) — the chase is CPU-bound, instances and mappings are
   picklable, and fork-based workers amortize the serialization cost.
+  Every multi-process batch runs on the supervised
+  :class:`repro.engine.supervisor.WorkerPool`, which kills hung workers
+  only when ``Limits.grace`` arms it.
 
 Each side of the threshold wins somewhere.  On a 2-core x86 host, with
 16 unique instances per ``chase_many`` batch and the cache off,
@@ -20,13 +23,13 @@ never reliably beat the serial loop (path2, decomposition and hr_split
 at 20 to 199 facts: medians within ±11% of serial, at most 5 wins in 7
 paired runs).
 
-Batch execution is **fault isolated**: one item crashing (a worker
-exception, a broken pool, an injected fault) no longer takes the whole
-batch down.  :func:`run_batch_isolated` returns one
-:class:`ItemOutcome` per payload — either a value or the exception that
-killed the item — retries *transient* failures up to a retry budget,
-and enforces an executor-level deadline by cancelling whatever has not
-finished when time runs out.
+Batch execution is **fault isolated**: one item crashing (a task
+exception, a dead worker, an injected fault) never takes the whole
+batch down.  :func:`run_batch_isolated` (serial) and
+:func:`repro.engine.supervisor.run_batch_supervised` (processes) return
+one :class:`ItemOutcome` per payload — either a value or the exception
+that ended the item — retry *transient* failures up to a retry budget,
+and enforce a batch deadline.
 
 Task functions live at module scope so they pickle by reference, and
 return ``(value, TraceState | None)``.  Every payload ends with
@@ -48,29 +51,24 @@ from __future__ import annotations
 import os
 import time
 from contextlib import nullcontext
-from concurrent.futures import FIRST_COMPLETED, Executor, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 from ..chase.disjunctive import Branches, reverse_disjunctive_chase
 from ..chase.standard import ChaseResult, chase
-from ..errors import BudgetExhausted, FaultInjected
+from ..errors import BudgetExhausted, FaultInjected, WorkerKilled
 from ..instance import Instance
 from ..limits import Exhausted, Fault, Limits, trip
 from ..mappings.schema_mapping import SchemaMapping
 from ..obs.context import TraceContext, context_scope
 from ..obs.tracer import Tracer, TraceState
 
-try:  # BrokenExecutor is 3.8+; keep the guard cheap and explicit
-    from concurrent.futures import BrokenExecutor
-except ImportError:  # pragma: no cover - ancient pythons only
-    BrokenExecutor = OSError  # type: ignore[assignment,misc]
-
 #: Failures worth retrying: injected crash faults (deterministically
-#: transient by construction) and infrastructure-level breakage.  A
-#: :class:`BudgetExhausted` is *not* transient — retrying an exhausted
-#: budget would just exhaust it again.
-_TRANSIENT = (FaultInjected, BrokenExecutor, OSError, ConnectionError)
+#: transient by construction), hard-killed workers (a retry gets a fresh
+#: worker and the remaining deadline) and infrastructure-level breakage
+#: such as a worker process dying.  A :class:`BudgetExhausted` is *not*
+#: transient — retrying an exhausted budget would just exhaust it again.
+_TRANSIENT = (FaultInjected, WorkerKilled, OSError)
 
 
 def is_transient(error: BaseException) -> bool:
@@ -86,8 +84,8 @@ class ItemOutcome:
     (first submission to final resolution), so failed items get their
     cost attributed in ``engine.stats()`` just like successful ones.
     ``kills`` counts hard terminations the item's workers needed — it
-    stays 0 on this cooperative pool and is populated only by the
-    supervised runner (:mod:`repro.engine.supervisor`).
+    stays 0 on the serial loop and in a worker pool without ``grace``,
+    which never kills (:mod:`repro.engine.supervisor`).
     """
 
     value: Any = None
@@ -101,15 +99,12 @@ class ItemOutcome:
         return self.error is None
 
 
-def _deadline_exhausted(attempts: int, elapsed: float = 0.0) -> ItemOutcome:
-    """The outcome recorded for items still unfinished at the deadline."""
-    diagnosis = Exhausted(
-        resource="deadline", where="engine.batch", used="batch deadline passed"
-    )
-    return ItemOutcome(
-        error=BudgetExhausted(diagnosis=diagnosis),
-        attempts=attempts,
-        elapsed=elapsed,
+def _deadline_error() -> BudgetExhausted:
+    """The error recorded for items not started by the batch deadline."""
+    return BudgetExhausted(
+        diagnosis=Exhausted(
+            resource="deadline", where="engine.batch", used="batch deadline passed"
+        )
     )
 
 
@@ -186,131 +181,62 @@ def reverse_task(
     return branches, local.export_state() if local is not None else None
 
 
-def make_executor(
-    jobs: int, items: int, largest: int, process_threshold: int
-) -> Optional[Executor]:
-    """Pick an executor for a batch, or ``None`` for the serial loop."""
+def pool_size(jobs: int, items: int, largest: int, process_threshold: int) -> int:
+    """Worker processes for a batch, or ``0`` for the serial loop."""
     workers = min(jobs, items)
     if workers <= 1 or (os.cpu_count() or 1) <= 1 or largest < process_threshold:
-        return None
-    try:
-        return ProcessPoolExecutor(max_workers=workers)
-    except (OSError, ValueError):  # pragma: no cover - sandboxed hosts
-        return None
+        return 0
+    return workers
 
 
 def run_batch_isolated(
     payloads: Sequence[tuple],
     fn,
-    executor: Optional[Executor],
     retries: int = 0,
     deadline: Optional[float] = None,
-    clock=time.monotonic,
 ) -> List[ItemOutcome]:
-    """Run *fn* over *payloads* with per-item fault isolation.
+    """Run *fn* over *payloads* in this process, with per-item isolation.
 
     Returns one :class:`ItemOutcome` per payload, in payload order; no
     item's failure affects any other item.  Transient failures (see
     :func:`is_transient`) are retried up to *retries* extra attempts,
     resubmitting the payload with its trailing attempt counter bumped.
     *deadline* is a wall-clock duration (seconds) for the whole batch:
-    items unfinished when it passes are cancelled (or, if already
-    running, left to stop cooperatively via the deadline inside their
-    own ``Limits``) and reported as deadline-exhausted outcomes.
+    items not started when it passes are reported as deadline-exhausted
+    outcomes (a running item stops cooperatively via the deadline in its
+    own ``Limits``).
     """
-    deadline_at = None if deadline is None else clock() + deadline
+    deadline_at = None if deadline is None else time.monotonic() + deadline
 
     def expired() -> bool:
-        return deadline_at is not None and clock() >= deadline_at
+        return deadline_at is not None and time.monotonic() >= deadline_at
 
     outcomes: List[ItemOutcome] = [ItemOutcome(attempts=0) for _ in payloads]
-
-    if executor is None:
-        for index, payload in enumerate(payloads):
-            attempt = 1
-            started = clock()
-            while True:
-                if expired():
-                    outcomes[index] = _deadline_exhausted(
-                        attempt - 1, elapsed=clock() - started
-                    )
-                    break
-                try:
-                    value = fn(payload)
-                    outcomes[index] = ItemOutcome(
-                        value=value, attempts=attempt, elapsed=clock() - started
-                    )
-                    break
-                except Exception as error:
-                    if is_transient(error) and attempt <= retries and not expired():
-                        attempt += 1
-                        payload = _rebudgeted(payload, clock() - started)
-                        payload = payload[:-1] + (attempt,)
-                        continue
-                    outcomes[index] = ItemOutcome(
-                        error=error, attempts=attempt, elapsed=clock() - started
-                    )
-                    break
-        return outcomes
-
-    with executor:
-        info: dict = {}
-        pending = set()
-        started: dict = {}
-        for index, payload in enumerate(payloads):
-            started[index] = clock()
-            try:
-                future = executor.submit(fn, payload)
-            except Exception as error:  # pragma: no cover - broken pool
+    for index, payload in enumerate(payloads):
+        attempt = 1
+        started = time.monotonic()
+        while True:
+            if expired():
                 outcomes[index] = ItemOutcome(
-                    error=error, attempts=1, elapsed=clock() - started[index]
+                    error=_deadline_error(),
+                    attempts=attempt - 1,
+                    elapsed=time.monotonic() - started,
                 )
-                continue
-            info[future] = (index, 1, payload)
-            pending.add(future)
-        while pending:
-            timeout = (
-                None if deadline_at is None else max(0.0, deadline_at - clock())
-            )
-            done, pending = wait(
-                pending, timeout=timeout, return_when=FIRST_COMPLETED
-            )
-            if not done:
-                # Deadline passed with work still outstanding: cancel what
-                # has not started; running items stop cooperatively via
-                # the deadline in their own Limits (if any).
-                for future in pending:
-                    future.cancel()
-                    index, attempts, _payload = info[future]
-                    outcomes[index] = _deadline_exhausted(
-                        attempts, elapsed=clock() - started[index]
-                    )
-                executor.shutdown(wait=False, cancel_futures=True)
                 break
-            for future in done:
-                index, attempts, payload = info.pop(future)
-                elapsed = clock() - started[index]
-                try:
-                    outcomes[index] = ItemOutcome(
-                        value=future.result(), attempts=attempts, elapsed=elapsed
-                    )
+            try:
+                value = fn(payload)
+                outcomes[index] = ItemOutcome(
+                    value=value, attempts=attempt, elapsed=time.monotonic() - started
+                )
+                break
+            except Exception as error:
+                if is_transient(error) and attempt <= retries and not expired():
+                    attempt += 1
+                    payload = _rebudgeted(payload, time.monotonic() - started)
+                    payload = payload[:-1] + (attempt,)
                     continue
-                except Exception as error:
-                    caught = error
-                if is_transient(caught) and attempts <= retries and not expired():
-                    retry_payload = _rebudgeted(payload, elapsed)
-                    retry_payload = retry_payload[:-1] + (attempts + 1,)
-                    try:
-                        future = executor.submit(fn, retry_payload)
-                    except Exception:  # pragma: no cover - broken pool
-                        outcomes[index] = ItemOutcome(
-                            error=caught, attempts=attempts, elapsed=elapsed
-                        )
-                        continue
-                    info[future] = (index, attempts + 1, retry_payload)
-                    pending.add(future)
-                else:
-                    outcomes[index] = ItemOutcome(
-                        error=caught, attempts=attempts, elapsed=elapsed
-                    )
+                outcomes[index] = ItemOutcome(
+                    error=error, attempts=attempt, elapsed=time.monotonic() - started
+                )
+                break
     return outcomes

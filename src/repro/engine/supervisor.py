@@ -1,73 +1,86 @@
-"""The worker supervisor: heartbeat-watched, hard-kill process pools.
+"""The supervised worker pool behind multi-process batches and ``repro serve``.
 
-``run_batch_isolated`` (:mod:`repro.engine.parallel`) contains item
-failures and enforces deadlines *cooperatively*: a worker that honors
-its budget checkpoints stops itself, and a worker that crashes reports
-an error.  What it cannot handle is a worker that does **neither** — a
-pathological chase wedged inside hom search, a deadlocked native call —
-which hangs the whole batch forever.  This module is the escalation
-path, modeled on the supervision patterns of production serving stacks
-(bound each scenario's runtime; kill and respawn stragglers instead of
-awaiting them):
+:func:`repro.engine.parallel.run_batch_isolated` contains item failures
+and enforces deadlines *cooperatively*: a task that honors its budget
+checkpoints stops itself, and a task that raises reports an error.  A
+task that does **neither** — a chase wedged inside hom search, a
+deadlocked native call — can only be stopped from outside its process.
+:class:`WorkerPool` is that outside, and the one process runner in the
+repo:
 
-* every worker runs as its **own supervised process** holding a shared
-  heartbeat cell; the ambient progress-reporter hook inside the worker
-  turns each cooperative :class:`repro.limits.Budget` checkpoint into a
-  heartbeat (item id + live budget gauges), so the supervisor sees not
-  just *that* the worker is alive but *where* it is;
-* the supervisor polls result pipes and heartbeats; an item past its
-  cooperative deadline first receives a **cooperative cancel** (a
-  shared lock-free flag bridged to the worker's ambient
-  :class:`repro.limits.CancelToken`);
-* a worker whose heartbeat then stays stale for more than
-  ``Limits.grace`` seconds is **terminated** (``SIGTERM``, escalating
-  to ``SIGKILL``) and its slot **respawned** — the in-flight item is
-  re-queued when retries remain (resuming with its remaining deadline
-  via :func:`repro.engine.parallel._rebudgeted`) or failed as a
-  :class:`repro.errors.WorkerKilled`, which the engine surfaces as a
-  typed ``BatchItemError(kind="killed")``;
-* the rest of the batch keeps running throughout: process-per-item
-  leases mean a kill can never poison a shared pool queue, so
-  "respawn" is simply starting the next lease in the freed slot.
+* **N persistent workers.**  Each slot is one long-lived process that
+  builds its handler once (``build(config)``) and then serves tasks
+  streamed over a duplex pipe: batches hand it the task function
+  itself, ``repro serve`` builds a warm engine
+  (:mod:`repro.service.pool`).  One manager thread per slot pulls jobs
+  from a shared queue, ships each to its worker and waits for the reply.
+* **Heartbeats.**  Every worker holds a shared heartbeat cell; the
+  ambient progress-reporter hook inside the worker turns each
+  cooperative :class:`repro.limits.Budget` checkpoint into a heartbeat
+  (live budget gauges), so the manager sees not just *that* the worker
+  is alive but *where* it is.
+* **Escalation.**  At a job's cooperative deadline (or when its owner
+  cancels it) the manager flips a shared lock-free byte, bridged to the
+  worker's ambient :class:`repro.limits.CancelToken`.  If the pool has a
+  ``grace`` and the heartbeat then stays stale for that long, the worker
+  is terminated (``SIGTERM``, escalating to ``SIGKILL``), the **slot is
+  respawned in place**, and the job fails as
+  :class:`repro.errors.WorkerKilled`.  A pool without ``grace`` never
+  kills.  A worker that dies on its own fails its job with an
+  ``OSError`` (transient) and is respawned the same way.
+* The rest of the pool keeps running throughout: each manager supervises
+  only its own slot, and the shared queue keeps feeding the healthy ones.
 
-Heartbeats extend a worker's life: the hard-kill instant for an item is
-``max(deadline passed, last heartbeat) + grace``, so a worker that is
-still cooperating (checkpointing while it unwinds a partial result) is
-given time, while one that has gone silent is killed within
-``deadline + grace`` of its start — the bound the CI smoke test
-asserts.
+Heartbeats extend a worker's life: the hard-kill instant for a job is
+``max(soft cancel, last heartbeat) + grace``, so a worker that is still
+cooperating (checkpointing while it unwinds a partial result) is given
+time, while one that has gone silent is killed within ``deadline +
+grace`` of its start — the bound the CI smoke test asserts.
 
-SIGINT cooperates with supervision: the ambient
-:class:`repro.limits.CancelToken` is polled every supervisor tick; on
-cancellation every live worker gets the cooperative cancel immediately,
-stragglers are killed after one grace period, finished results are
-kept, and unfinished items resolve as ``Cancelled`` — so Ctrl-C during
-a kill escalation still produces the partial dump and exit code 130.
+:func:`run_batch_supervised` is the batch driver on top of the pool:
+ordered :class:`ItemOutcome` results, per-item retry with the remaining
+deadline, the batch deadline, and SIGINT.  The ambient cancel token is
+polled every tick; on cancellation queued items are withdrawn, every
+running worker gets the cooperative cancel immediately, stragglers are
+killed after one grace period, finished results are kept, and unfinished
+items resolve as ``Cancelled`` — so Ctrl-C during a kill escalation
+still produces the partial dump and exit code 130.
 
-Killed items are never cached (they produce no result) and never
-poison telemetry: the engine records one error ``OpRecord`` per killed
-item and counts kills in ``stats()``.
+One pool serves every process batch, with or without ``grace``, and
+``repro serve``: on a 2-vCPU host its batch lane measured within the
+quartiles of a ``ProcessPoolExecutor`` lane, which unlike the pool
+fails a whole batch when one worker dies (``docs/ARCHITECTURE.md`` §5).
+Killed items are never cached (they produce no result) and never poison
+telemetry: the engine records one error ``OpRecord`` per killed item
+and counts kills in ``stats()``.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.connection
-import os
+import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import Cancelled, WorkerKilled
 from ..limits import Exhausted, Limits
 from ..limits.budget import current_cancel_token, set_cancel_token, CancelToken
 from ..obs.progress import set_reporter
-from .parallel import ItemOutcome, _rebudgeted, is_transient
+from .parallel import (
+    ItemOutcome,
+    _deadline_error,
+    _rebudgeted,
+    is_transient,
+    run_batch_isolated,
+)
 
-#: How often the supervisor wakes to poll pipes, heartbeats, and the
-#: ambient cancel token (seconds).  Kills therefore land within one
-#: tick of their due time — negligible against any realistic grace.
+#: How often a manager wakes to poll its pipe and heartbeat, and the
+#: batch driver to poll the ambient cancel token (seconds).  Kills
+#: therefore land within one tick of their due time — negligible
+#: against any realistic grace.
 SUPERVISOR_TICK = 0.05
 
 #: Gauge slots in the shared heartbeat cell, in order.
@@ -75,7 +88,7 @@ _GAUGES = ("rounds", "steps", "facts", "nulls", "branches")
 
 
 class HeartbeatCell:
-    """One item's shared-memory heartbeat: a timestamp plus gauges.
+    """One worker's shared-memory heartbeat: a timestamp plus gauges.
 
     The worker side writes (monotonic timestamp, rounds, steps, facts,
     nulls, branches) on every budget checkpoint; the supervisor side
@@ -147,107 +160,73 @@ class _HeartbeatReporter:
         )
 
 
-def _bridge_cancel(flag, token: CancelToken, poll: float = 0.05) -> None:
-    """Daemon-thread body: mirror the shared cancel *flag* into *token*.
+def _bridge_cancel(flag, token: CancelToken, stop: threading.Event) -> None:
+    """Watcher-thread body: mirror the shared cancel *flag* into *token*.
 
-    The supervisor's cooperative-cancel signal is a lock-free shared
-    byte (``RawValue``), not a ``multiprocessing.Event``: an Event's
-    internal lock can be orphaned by a worker that exits while its
-    watcher thread is inside ``Event.wait`` — after which the
-    supervisor's ``set()`` blocks forever.  A raw byte has no lock to
-    orphan; budgets check a thread-backed :class:`CancelToken`, and
-    this watcher is the bridge, running inside the worker process.
+    The cooperative-cancel signal is a lock-free shared byte
+    (``RawValue``), not a ``multiprocessing.Event``: an Event's internal
+    lock can be orphaned by a worker that exits while its watcher thread
+    is inside ``Event.wait`` — after which the manager's ``set()``
+    blocks forever.  A raw byte has no lock to orphan; budgets check a
+    thread-backed :class:`CancelToken`, and this watcher is the bridge.
+    Each task gets a fresh token and watcher, stopped when the task
+    ends — otherwise a finished task's watcher could cancel the next
+    task off a stale flag read.
     """
-    while not token.cancelled:
+    while not stop.is_set() and not token.cancelled:
         if flag.value:
             token.cancel("supervisor")
             return
-        time.sleep(poll)
+        time.sleep(0.02)
 
 
-def _worker_main(fn, payload, cell: HeartbeatCell, cancel_flag, conn) -> None:
-    """Entry point of one supervised worker process.
+def _worker_main(conn, cell: HeartbeatCell, cancel_flag, build, config) -> None:
+    """One persistent worker process: build the handler once, then serve.
 
-    Installs the heartbeat reporter and the bridged cancel token as
-    this process's ambient telemetry, runs the task, and ships exactly
-    one ``(status, value)`` message back over the pipe.  Runs at module
-    scope so it pickles by reference under spawn-based contexts.
+    Protocol: the parent sends one task at a time (``None`` asks the
+    worker to exit); the worker replies ``("ok", value)`` or
+    ``("error", exception)`` — exactly one reply per task, with an
+    unpicklable reply degraded to a picklable error rather than a silent
+    hang.  Runs at module scope so it pickles by reference under
+    spawn-based contexts.
     """
-    cell.beat()
-    token = CancelToken()
-    set_cancel_token(token)
+    handler = build(config)
     set_reporter(_HeartbeatReporter(cell))
-    watcher = threading.Thread(
-        target=_bridge_cancel, args=(cancel_flag, token), daemon=True
-    )
-    watcher.start()
-    try:
-        value = fn(payload)
-    except BaseException as error:  # ship the failure, whatever it is
-        message = ("error", error)
-    else:
-        message = ("ok", value)
-    try:
-        conn.send(message)
-    except Exception:
-        # Unpicklable value/error (or a vanished parent): degrade to a
-        # picklable description so the item fails loudly, not silently.
+    while True:
         try:
-            conn.send(
-                ("error", RuntimeError(f"worker result unpicklable: {message[1]!r}"))
-            )
-        except Exception:  # pragma: no cover - parent is gone
-            pass
-    finally:
-        conn.close()
+            task = conn.recv()
+        except (EOFError, OSError):
+            break
+        if task is None:
+            break
+        cell.beat(**dict.fromkeys(_GAUGES, 0))  # no gauges from the last task
+        token = CancelToken()
+        set_cancel_token(token)
+        stop = threading.Event()
+        threading.Thread(
+            target=_bridge_cancel, args=(cancel_flag, token, stop), daemon=True
+        ).start()
+        try:
+            reply = ("ok", handler(task))
+        except BaseException as error:  # ship the failure, whatever it is
+            reply = ("error", error)
+        finally:
+            stop.set()
+        try:
+            conn.send(reply)
+        except Exception:
+            try:
+                conn.send(
+                    ("error", RuntimeError(f"worker result unpicklable: {reply[1]!r}"))
+                )
+            except Exception:  # pragma: no cover - parent is gone
+                break
+    conn.close()
 
 
-@dataclass
-class _Lease:
-    """Supervisor-side record of one running worker attempt."""
-
-    index: int
-    attempt: int
-    payload: tuple
-    process: Any
-    conn: Any
-    cell: HeartbeatCell
-    cancel_flag: Any
-    started: float
-    soft_at: Optional[float]  # cooperative-cancel instant (deadline)
-    soft_sent: bool = False
-    gauges: Dict[str, int] = field(default_factory=dict)
-
-
-def _item_deadline(payload: tuple) -> Optional[float]:
-    """The per-item cooperative deadline riding in the payload, if any."""
-    limits = payload[-3] if len(payload) >= 3 else None
-    if isinstance(limits, Limits):
-        return limits.deadline
-    return None
-
-
-def _killed_error(lease: _Lease, grace: float, now: float) -> WorkerKilled:
-    """The typed error for a lease the supervisor had to terminate."""
-    stale = now - max(lease.cell.last_beat, lease.started)
-    diagnosis = Exhausted(
-        resource="killed",
-        where="engine.supervisor",
-        limit=grace,
-        used=f"heartbeat stale {stale:.2f}s past deadline",
-        rounds=lease.gauges.get("rounds", 0),
-        steps=lease.gauges.get("steps", 0),
-    )
-    return WorkerKilled(
-        item=lease.index, pid=lease.process.pid, diagnosis=diagnosis
-    )
-
-
-def _cancelled_error(where: str = "engine.supervisor") -> Cancelled:
-    """The typed error for items abandoned by a batch-wide cancellation."""
-    return Cancelled(
-        diagnosis=Exhausted(resource="cancelled", where=where, used="SIGINT")
-    )
+def _task_handler(fn):
+    """A batch worker's handler is the module-level task function itself."""
+    return fn
 
 
 def _terminate(process, patience: float = 0.5) -> None:
@@ -259,259 +238,288 @@ def _terminate(process, patience: float = 0.5) -> None:
         process.join(patience)
 
 
-class BatchSupervisor:
-    """Runs one batch of payloads under heartbeat-based supervision.
+class Job:
+    """One task submitted to a :class:`WorkerPool`, and its outcome.
 
-    One instance per ``run_batch_supervised`` call; the class exists to
-    keep the escalation state machine readable (queue, leases, kill
-    bookkeeping) rather than to be reused.
+    ``deadline`` (seconds from the start, or ``None``) is when the
+    worker gets the cooperative cancel; :meth:`cancel` moves that
+    instant to now.  ``item`` names the task in a kill diagnosis.  Once
+    settled, exactly one of ``value``/``error`` is meaningful, and
+    ``killed`` says whether the pool had to terminate the worker.
+    """
+
+    def __init__(
+        self, task: Any, item: int = -1, deadline: Optional[float] = None
+    ) -> None:
+        """A queued job for *task*."""
+        self.task = task
+        self.item = item
+        self.deadline = deadline
+        self.started: Optional[float] = None
+        self.soft_at: Optional[float] = None
+        self.value: Any = None
+        self.error: Optional[BaseException] = None
+        self.killed = False
+        self._state = "queued"
+        self._lock = threading.Lock()
+        self._done = threading.Event()
+
+    def _start(self) -> bool:
+        """Manager side: claim a queued job; ``False`` if withdrawn."""
+        with self._lock:
+            if self._state != "queued":
+                return False
+            self._state = "running"
+            self.started = time.monotonic()
+            if self.deadline is not None:
+                self.soft_at = self.started + self.deadline
+            return True
+
+    def withdraw(self) -> bool:
+        """Take back a job no worker has started; ``True`` on success."""
+        with self._lock:
+            if self._state != "queued":
+                return False
+            self._state = "withdrawn"
+            return True
+
+    def cancel(self) -> None:
+        """Send a running job the cooperative cancel now.
+
+        In a pool with a ``grace`` this also starts the kill clock.
+        """
+        now = time.monotonic()
+        if self.soft_at is None or now < self.soft_at:
+            self.soft_at = now
+
+
+@dataclass
+class _Slot:
+    """One worker slot: the live process and its supervision channels."""
+
+    index: int
+    process: Any = None
+    conn: Any = None
+    cell: Optional[HeartbeatCell] = None
+    cancel_flag: Any = None
+    tasks: int = 0
+
+
+_SHUTDOWN = object()
+
+
+class WorkerPool:
+    """N persistent supervised workers fed from one shared queue.
+
+    Parameters
+    ----------
+    workers:
+        Worker process count (≥ 1).
+    build:
+        Module-level function run once in each worker: ``build(config)``
+        returns the handler every task of that worker is passed to.
+    config:
+        The picklable argument of *build*.
+    grace:
+        Heartbeat staleness past a job's soft cancel that triggers the
+        kill; ``None`` means the pool never kills.
+    where:
+        The component named in kill diagnoses (it shows up in CLI
+        output and serve error payloads).
+    on_done:
+        Called with each settled job, from its manager thread, before
+        anyone waiting on the job wakes.
     """
 
     def __init__(
         self,
-        payloads: Sequence[tuple],
-        fn: Callable[[tuple], Any],
         workers: int,
-        retries: int,
-        deadline: Optional[float],
-        grace: float,
-        clock: Callable[[], float],
-        context,
+        build: Callable[[Any], Callable[[Any], Any]],
+        config: Any,
+        grace: Optional[float] = None,
+        where: str = "engine.supervisor",
+        on_done: Optional[Callable[[Job], None]] = None,
     ) -> None:
-        self.fn = fn
-        self.workers = max(1, workers)
-        self.retries = max(0, retries)
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
+        self.workers = workers
         self.grace = grace
-        self.clock = clock
-        self.ctx = context
-        self.payloads: List[tuple] = list(payloads)
-        self.outcomes: List[ItemOutcome] = [
-            ItemOutcome(attempts=0) for _ in payloads
-        ]
-        self.queue: List[int] = list(range(len(self.payloads)))
-        self.leases: Dict[int, _Lease] = {}
-        self.attempts = [0] * len(self.payloads)
-        self.kills = [0] * len(self.payloads)
-        self.first_started: Dict[int, float] = {}
-        self.deadline_at = (
-            None if deadline is None else self.clock() + deadline
-        )
-        self.cancelled_at: Optional[float] = None
-
-    # -- lifecycle ------------------------------------------------------
-
-    def run(self) -> List[ItemOutcome]:
-        """Drive the batch to completion; one outcome per payload."""
+        self.where = where
+        self._build = build
+        self._config = config
+        self._on_done = on_done
+        self._ctx = multiprocessing.get_context()
+        self._queue: "queue.Queue" = queue.Queue()
+        self._counts: Counter = Counter()
+        self._counts_lock = threading.Lock()
+        self._closing = False
+        self._slots = [_Slot(index=i) for i in range(workers)]
         try:
-            while self.queue or self.leases:
-                self._maybe_cancel()
-                self._fill_slots()
-                self._poll_results()
-                self._escalate()
-                self._drain_if_stopped()
-        finally:
-            for lease in self.leases.values():  # pragma: no cover - defense
-                _terminate(lease.process)
-        return self.outcomes
+            for slot in self._slots:
+                self._spawn(slot)
+        except BaseException:
+            for slot in self._slots:
+                if slot.process is not None:
+                    _terminate(slot.process)
+            raise
+        self._managers = [
+            threading.Thread(
+                target=self._manage, args=(slot,), daemon=True,
+                name=f"pool-manager-{slot.index}",
+            )
+            for slot in self._slots
+        ]
+        for manager in self._managers:
+            manager.start()
 
-    def _spawn(self, index: int) -> None:
-        """Start (or respawn) one worker process for item *index*."""
-        payload = self.payloads[index]
-        self.attempts[index] += 1
-        cell = HeartbeatCell(self.ctx)
+    # -- worker lifecycle ------------------------------------------------
+
+    def _spawn(self, slot: _Slot) -> None:
+        """Start *slot*'s worker: fresh process, pipe, cell, flag."""
+        slot.cell = HeartbeatCell(self._ctx)
         # Lock-free cancel signal — see _bridge_cancel for why not Event.
-        cancel_flag = self.ctx.RawValue("b", 0)
-        parent_conn, child_conn = self.ctx.Pipe(duplex=False)
-        process = self.ctx.Process(
+        slot.cancel_flag = self._ctx.RawValue("b", 0)
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        process = self._ctx.Process(
             target=_worker_main,
-            args=(self.fn, payload, cell, cancel_flag, child_conn),
+            args=(child_conn, slot.cell, slot.cancel_flag, self._build, self._config),
             daemon=True,
         )
         process.start()
         child_conn.close()
-        now = self.clock()
-        self.first_started.setdefault(index, now)
-        item_deadline = _item_deadline(payload)
-        self.leases[index] = _Lease(
-            index=index,
-            attempt=self.attempts[index],
-            payload=payload,
-            process=process,
-            conn=parent_conn,
-            cell=cell,
-            cancel_flag=cancel_flag,
-            started=now,
-            soft_at=None if item_deadline is None else now + item_deadline,
-        )
+        slot.process, slot.conn = process, parent_conn
 
-    def _fill_slots(self) -> None:
-        while (
-            self.queue
-            and len(self.leases) < self.workers
-            and not self._stopped()
-        ):
-            self._spawn(self.queue.pop(0))
-
-    # -- result collection ----------------------------------------------
-
-    def _poll_results(self) -> None:
-        """Wait one tick for pipes; resolve every readable lease."""
-        conns = [lease.conn for lease in self.leases.values()]
-        if not conns:
-            return
-        ready = multiprocessing.connection.wait(conns, timeout=SUPERVISOR_TICK)
-        if not ready:
-            return
-        by_conn = {lease.conn: lease for lease in self.leases.values()}
-        for conn in ready:
-            self._resolve(by_conn[conn])
-
-    def _resolve(self, lease: _Lease) -> None:
-        """One lease's pipe is readable: a result, an error, or EOF."""
-        index = lease.index
+    def _respawn(self, slot: _Slot) -> None:
+        """Replace the slot's worker in place after a kill or a crash."""
         try:
-            status, value = lease.conn.recv()
-        except (EOFError, OSError):
-            # The worker died without shipping a result (hard crash,
-            # unpicklable payload under spawn, OOM kill).  Infra-level
-            # breakage: transient, retryable.
-            status, value = "error", OSError(
-                f"worker pid {lease.process.pid} exited without a result"
-            )
-        self._close(lease)
-        elapsed = self.clock() - self.first_started[index]
-        if status == "ok":
-            self.outcomes[index] = ItemOutcome(
-                value=value,
-                attempts=lease.attempt,
-                elapsed=elapsed,
-                kills=self.kills[index],
-            )
-            return
-        self._fail_or_retry(index, lease, value, elapsed)
-
-    def _fail_or_retry(
-        self, index: int, lease: _Lease, error: BaseException, elapsed: float
-    ) -> None:
-        retryable = is_transient(error) or isinstance(error, WorkerKilled)
-        if retryable and lease.attempt <= self.retries and not self._stopped():
-            payload = _rebudgeted(self.payloads[index], elapsed)
-            self.payloads[index] = payload[:-1] + (lease.attempt + 1,)
-            self.queue.append(index)
-            return
-        self.outcomes[index] = ItemOutcome(
-            error=error,
-            attempts=lease.attempt,
-            elapsed=elapsed,
-            kills=self.kills[index],
-        )
-
-    def _close(self, lease: _Lease) -> None:
-        """Retire a finished lease: reap the process, free the slot."""
-        del self.leases[lease.index]
-        try:
-            lease.conn.close()
+            slot.conn.close()
         except OSError:  # pragma: no cover - already closed
             pass
-        lease.process.join(0.5)
-        if lease.process.is_alive():  # pragma: no cover - slow unwind
-            _terminate(lease.process)
+        _terminate(slot.process)  # reaps a worker that already died
+        self._spawn(slot)
+        self._bump(respawns=1)
 
-    # -- escalation ------------------------------------------------------
+    def _bump(self, **deltas: int) -> None:
+        with self._counts_lock:
+            self._counts.update(deltas)
 
-    def _escalate(self) -> None:
-        """Cooperative cancel at the deadline; hard kill past grace."""
-        now = self.clock()
-        batch_expired = self.deadline_at is not None and now >= self.deadline_at
-        for lease in list(self.leases.values()):
-            soft_due = (
-                (lease.soft_at is not None and now >= lease.soft_at)
-                or batch_expired
-                or self.cancelled_at is not None
+    # -- submission and shutdown -----------------------------------------
+
+    def submit(self, job: Job) -> Job:
+        """Queue *job* for the next free worker; returns it."""
+        self._queue.put(job)
+        return job
+
+    def close(self, timeout: Optional[float] = None) -> bool:
+        """Finish queued jobs, then exit every worker.
+
+        Returns ``True`` when every manager joined within *timeout*
+        (``None`` = wait forever).  Idempotent.
+        """
+        if not self._closing:
+            self._closing = True
+            for _ in self._managers:
+                self._queue.put(_SHUTDOWN)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for manager in self._managers:
+            remaining = (
+                None if deadline is None else max(0.0, deadline - time.monotonic())
             )
-            if soft_due and not lease.soft_sent:
-                lease.cancel_flag.value = 1
-                lease.soft_sent = True
-            if not soft_due:
+            manager.join(remaining)
+        return all(not manager.is_alive() for manager in self._managers)
+
+    # -- the slot manager ------------------------------------------------
+
+    def _manage(self, slot: _Slot) -> None:
+        """Manager-thread body: feed and supervise one worker slot."""
+        while True:
+            job = self._queue.get()
+            if job is _SHUTDOWN:
+                self._exit_worker(slot)
+                return
+            if not job._start():
+                continue  # withdrawn by its owner before it started
+            try:
+                job.value, job.error = self._run(slot, job)
+            except Exception as error:  # pragma: no cover - respawn failed
+                job.value, job.error = None, error
+            if self._on_done is not None:
+                self._on_done(job)
+            job._done.set()
+
+    def _run(self, slot: _Slot, job: Job):
+        """Ship *job* to the slot's worker; its ``(value, error)``."""
+        if not slot.process.is_alive():
+            self._respawn(slot)
+        slot.cancel_flag.value = 0
+        pid = slot.process.pid
+        try:
+            slot.conn.send(job.task)
+        except Exception as error:  # unpicklable task or broken pipe
+            self._respawn(slot)
+            return None, error
+        slot.tasks += 1
+        while not slot.conn.poll(SUPERVISOR_TICK):
+            soft_at = job.soft_at
+            now = time.monotonic()
+            if soft_at is None or now < soft_at:
                 continue
+            slot.cancel_flag.value = 1
             # The worker earns grace by heartbeating: kill only once it
             # has been silent for a full grace period after the soft
-            # signal (or after its own deadline, whichever is later).
-            soft_since = min(
-                t for t in (
-                    lease.soft_at,
-                    self.deadline_at,
-                    self.cancelled_at,
-                ) if t is not None
-            )
-            quiet_since = max(lease.cell.last_beat, soft_since)
-            if now - quiet_since >= self.grace:
-                self._kill(lease, now)
-
-    def _kill(self, lease: _Lease, now: float) -> None:
-        """Terminate one hung worker and requeue or fail its item."""
-        index = lease.index
-        lease.gauges = lease.cell.gauges()
-        _terminate(lease.process)
-        self.kills[index] += 1
-        del self.leases[index]
+            # cancel.
+            quiet_since = max(slot.cell.last_beat, soft_at)
+            if self.grace is not None and now - quiet_since >= self.grace:
+                return None, self._kill(slot, job, now)
         try:
-            lease.conn.close()
+            status, value = slot.conn.recv()
+        except (EOFError, OSError):
+            # The worker died without a reply (hard crash, OOM kill):
+            # infra-level breakage, so transient and retryable.
+            self._respawn(slot)
+            return None, OSError(f"worker pid {pid} exited without a result")
+        except Exception as error:  # the reply would not unpickle
+            return None, error
+        return (value, None) if status == "ok" else (None, value)
+
+    def _kill(self, slot: _Slot, job: Job, now: float) -> WorkerKilled:
+        """Terminate a silent worker, respawn its slot; the job's error."""
+        gauges = slot.cell.gauges()
+        stale = now - max(slot.cell.last_beat, job.started)
+        pid = slot.process.pid
+        self._bump(kills=1)
+        self._respawn(slot)
+        job.killed = True
+        diagnosis = Exhausted(
+            resource="killed",
+            where=self.where,
+            limit=self.grace,
+            used=f"heartbeat stale {stale:.2f}s past deadline",
+            rounds=gauges["rounds"],
+            steps=gauges["steps"],
+        )
+        return WorkerKilled(item=job.item, pid=pid, diagnosis=diagnosis)
+
+    def _exit_worker(self, slot: _Slot) -> None:
+        """Politely stop one worker (shutdown path), escalating if ignored."""
+        try:
+            slot.conn.send(None)
+        except (OSError, ValueError):
+            pass
+        slot.process.join(2.0)
+        if slot.process.is_alive():
+            _terminate(slot.process)
+        try:
+            slot.conn.close()
         except OSError:  # pragma: no cover - already closed
             pass
-        elapsed = now - self.first_started[index]
-        error: BaseException
-        if self.cancelled_at is not None:
-            error = _cancelled_error()
-        else:
-            error = _killed_error(lease, self.grace, now)
-        self._fail_or_retry(index, lease, error, elapsed)
-
-    # -- batch-wide stop conditions --------------------------------------
-
-    def _maybe_cancel(self) -> None:
-        """Adopt an ambient cancellation (SIGINT) the moment it fires."""
-        if self.cancelled_at is not None:
-            return
-        token = current_cancel_token()
-        if token is not None and token.cancelled:
-            self.cancelled_at = self.clock()
-
-    def _stopped(self) -> bool:
-        """No new work may start: batch deadline passed or cancelled."""
-        if self.cancelled_at is not None:
-            return True
-        return self.deadline_at is not None and self.clock() >= self.deadline_at
-
-    def _drain_if_stopped(self) -> None:
-        """Fail queued (never-started) items once the batch is stopped."""
-        if not self._stopped() or not self.queue:
-            return
-        for index in self.queue:
-            if self.cancelled_at is not None:
-                error: BaseException = _cancelled_error()
-            else:
-                error = _deadline_error()
-            self.outcomes[index] = ItemOutcome(
-                error=error,
-                attempts=max(self.attempts[index], 1),
-                elapsed=(
-                    self.clock() - self.first_started[index]
-                    if index in self.first_started
-                    else 0.0
-                ),
-                kills=self.kills[index],
-            )
-        self.queue.clear()
 
 
-def _deadline_error():
-    """A batch-deadline exhaustion, matching ``run_batch_isolated``'s."""
-    from ..errors import BudgetExhausted
-
-    return BudgetExhausted(
+def _cancelled_error() -> Cancelled:
+    """The typed error for items abandoned by a batch-wide cancellation."""
+    return Cancelled(
         diagnosis=Exhausted(
-            resource="deadline", where="engine.batch", used="batch deadline passed"
+            resource="cancelled", where="engine.supervisor", used="SIGINT"
         )
     )
 
@@ -522,22 +530,22 @@ def run_batch_supervised(
     workers: int = 1,
     retries: int = 0,
     deadline: Optional[float] = None,
-    grace: float = 1.0,
-    clock: Callable[[], float] = time.monotonic,
-    context=None,
+    grace: Optional[float] = None,
 ) -> List[ItemOutcome]:
-    """Run *fn* over *payloads* in supervised worker processes.
+    """Run *fn* over *payloads* on a :class:`WorkerPool`.
 
-    The hard-kill counterpart of
+    The multi-process counterpart of
     :func:`repro.engine.parallel.run_batch_isolated`: same payload
     contract (``(..., limits, fault, attempt)``), same ordered
     :class:`ItemOutcome` list, same transient-retry and batch-deadline
-    semantics — plus heartbeat supervision.  A worker silent for more
-    than *grace* seconds past its cooperative deadline is terminated
-    and its slot respawned; the item retries (with its remaining
-    deadline) while attempts remain, then fails as
+    semantics.  A worker that dies retries its item like any transient
+    failure.  With *grace* set, a worker silent for more than *grace*
+    seconds past its item's cooperative deadline (or the batch deadline)
+    is terminated and its slot respawned; the item retries (with its
+    remaining deadline) while attempts remain, then fails as
     :class:`repro.errors.WorkerKilled`.  ``ItemOutcome.kills`` counts
-    the terminations each item needed.
+    the terminations each item needed.  Without *grace* nothing is
+    killed.  If the pool cannot start, the batch runs on the serial loop.
 
     Parameters
     ----------
@@ -554,48 +562,95 @@ def run_batch_supervised(
         Wall-clock bound for the whole batch, seconds.
     grace:
         Heartbeat staleness past the deadline that triggers the kill.
-    clock:
-        Monotonic time source (overridable for tests).
-    context:
-        A ``multiprocessing`` context; default
-        :func:`multiprocessing.get_context`.
     """
     if not payloads:
         return []
-    ctx = context if context is not None else multiprocessing.get_context()
-    supervisor = BatchSupervisor(
-        payloads=payloads,
-        fn=fn,
-        workers=workers,
-        retries=retries,
-        deadline=deadline,
-        grace=grace,
-        clock=clock,
-        context=ctx,
-    )
-    return supervisor.run()
-
-
-def supervision_available() -> bool:
-    """True when this host can run supervised pools at all.
-
-    Needs working ``multiprocessing`` process spawning; sandboxed hosts
-    without ``/dev/shm`` or fork permission fall back to the
-    cooperative-only pool.
-    """
-    if os.environ.get("REPRO_NO_SUPERVISOR", "").strip() in ("1", "true", "yes"):
-        return False
+    finished: "queue.Queue[Job]" = queue.Queue()
     try:
-        multiprocessing.get_context()
-        return True
-    except Exception:  # pragma: no cover - exotic hosts
-        return False
+        pool = WorkerPool(
+            min(max(1, workers), len(payloads)), _task_handler, fn,
+            grace=grace, on_done=finished.put,
+        )
+    except (OSError, ValueError):  # pragma: no cover - sandboxed hosts
+        return run_batch_isolated(payloads, fn, retries=retries, deadline=deadline)
+    outcomes: List[ItemOutcome] = [ItemOutcome(attempts=0) for _ in payloads]
+    kills = [0] * len(payloads)
+    first_started: Dict[int, float] = {}
+    live: Dict[int, Job] = {}
+    deadline_at = None if deadline is None else time.monotonic() + deadline
+    cancelled = stopped = False
+
+    def submit(index: int, payload: tuple) -> None:
+        # With grace, each item's own Limits deadline is its soft cancel.
+        limits = payload[-3]
+        armed = grace is not None and isinstance(limits, Limits)
+        job = Job(payload, item=index, deadline=limits.deadline if armed else None)
+        live[index] = pool.submit(job)
+
+    def settle(job: Job) -> None:
+        index, attempt = job.item, job.task[-1]
+        del live[index]
+        elapsed = time.monotonic() - first_started.setdefault(index, job.started)
+        kills[index] += job.killed
+        if job.error is None:
+            outcomes[index] = ItemOutcome(
+                value=job.value, attempts=attempt, elapsed=elapsed, kills=kills[index]
+            )
+            return
+        error = _cancelled_error() if job.killed and cancelled else job.error
+        if is_transient(error) and attempt <= retries and not stopped:
+            payload = _rebudgeted(job.task, elapsed)
+            submit(index, payload[:-1] + (attempt + 1,))
+            return
+        outcomes[index] = ItemOutcome(
+            error=error, attempts=attempt, elapsed=elapsed, kills=kills[index]
+        )
+
+    try:
+        for index, payload in enumerate(payloads):
+            submit(index, payload)
+        while live:
+            try:
+                settle(finished.get(timeout=SUPERVISOR_TICK))
+            except queue.Empty:
+                pass
+            if cancelled:
+                continue
+            token = current_cancel_token()
+            cancelled = token is not None and token.cancelled
+            expired = deadline_at is not None and time.monotonic() >= deadline_at
+            if not cancelled and (stopped or not expired):
+                continue
+            # Batch stopped: fail what never started, and tell running
+            # workers to stop (a pool with grace kills stragglers).
+            stopped = True
+            for index, job in list(live.items()):
+                if not job.withdraw():
+                    if cancelled or grace is not None:
+                        job.cancel()
+                    continue
+                del live[index]
+                outcomes[index] = ItemOutcome(
+                    error=_cancelled_error() if cancelled else _deadline_error(),
+                    attempts=max(job.task[-1] - 1, 1),
+                    elapsed=(
+                        time.monotonic() - first_started[index]
+                        if index in first_started
+                        else 0.0
+                    ),
+                    kills=kills[index],
+                )
+    finally:
+        for job in live.values():  # pragma: no cover - defense
+            job.withdraw()
+        pool.close()
+    return outcomes
 
 
 __all__ = [
-    "BatchSupervisor",
     "HeartbeatCell",
+    "Job",
     "SUPERVISOR_TICK",
+    "WorkerPool",
     "run_batch_supervised",
-    "supervision_available",
 ]

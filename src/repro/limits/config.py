@@ -78,9 +78,9 @@ class Limits:
     live disjunctive branches.
 
     ``grace`` arms **hard-kill supervision** for the engine's batch
-    process pools: a pool worker whose heartbeat goes stale for more
+    worker pool: a pool worker whose heartbeat goes stale for more
     than *grace* seconds past its cooperative ``deadline`` is
-    terminated and the pool respawned (see
+    terminated and its slot respawned (see
     :mod:`repro.engine.supervisor` and ``docs/ARCHITECTURE.md``).
     Grace only takes effect together with a deadline — without one
     there is no point in time after which a silent worker is

@@ -6,9 +6,9 @@ Three layers, each usable on its own:
   result cache (``DiskCache``), shared by the engine's
   :class:`repro.engine.cache.TieredCache` backing tier and the
   service's response cache;
-* :mod:`repro.service.pool` — the warm supervised worker pool
-  (``WarmPool``): N persistent engine processes with heartbeat
-  supervision and in-place respawn;
+* :mod:`repro.service.pool` — the warm worker pool (``WarmPool``): the
+  engine's supervised worker pool, running N persistent engine
+  processes with heartbeat supervision and in-place respawn;
 * :mod:`repro.service.http` — the stdlib JSON/HTTP front end
   (``ExchangeService``, ``serve``) with admission control, tiered
   response caching, and graceful drain.
@@ -32,7 +32,7 @@ from .ops import (
     request_key,
     validate_request,
 )
-from .pool import PoolDraining, PoolJob, PoolSaturated, WarmPool, pool_available
+from .pool import PoolDraining, PoolJob, PoolSaturated, WarmPool
 
 __all__ = [
     "CACHE_OFF_VALUES",
@@ -49,7 +49,6 @@ __all__ = [
     "ServiceServer",
     "WarmPool",
     "execute_op",
-    "pool_available",
     "request_key",
     "resolve_cache_dir",
     "serve",

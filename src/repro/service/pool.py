@@ -1,28 +1,17 @@
-"""The warm supervised worker pool behind ``repro serve``.
+"""The warm worker pool behind ``repro serve``.
 
-:mod:`repro.engine.supervisor` leases **one fresh process per item** —
-correct for batch jobs, ruinous for a service, where every request
-would pay interpreter start-up plus a cold engine.  This pool keeps the
-supervisor's proven machinery — the lock-free
-:class:`~repro.engine.supervisor.HeartbeatCell`, the
-:class:`~repro.engine.supervisor._HeartbeatReporter` progress shim, the
-raw-byte cooperative-cancel bridge, and the SIGTERM→SIGKILL
-:func:`~repro.engine.supervisor._terminate` escalation — but changes
-the lifecycle: **N persistent workers, respawned in place**.
+:class:`WarmPool` is the engine's supervised
+:class:`~repro.engine.supervisor.WorkerPool` — N persistent workers,
+heartbeat watched, killed and respawned in place — with a serve handler
+and the service's admission control on top:
 
-* Each worker slot is one long-lived process holding a warm
-  :class:`repro.engine.ExchangeEngine` (imports done, caches populated,
-  disk tier attached).  Tasks stream to it over a duplex pipe.
-* One manager thread per slot pulls requests from a shared queue,
-  ships them to its worker, and supervises: at the request's deadline
-  it flips the shared cancel byte (cooperative cancel); if the
-  worker's heartbeat then stays stale for a full grace period, the
-  worker is terminated and the **slot respawned in place** — a fresh
-  process with a fresh pipe, heartbeat cell, and cancel flag — so one
-  wedged request costs one worker restart, never the pool.
-* Other requests are unaffected throughout: each slot supervises only
-  its own worker, and the shared queue keeps feeding the healthy
-  slots.
+* Each worker builds one warm :class:`repro.engine.ExchangeEngine`
+  (imports done, caches populated, disk tier attached) and runs every
+  request it is handed through :func:`repro.service.ops.execute_op`.
+* At a request's deadline the worker gets the cooperative cancel; if its
+  heartbeat then stays stale for a full grace period, the worker is
+  terminated and the slot respawned, so one wedged request costs one
+  worker restart, never the pool.  Other requests are unaffected.
 
 Admission control is the caller's (:mod:`repro.service.http`):
 :meth:`WarmPool.submit` raises :class:`PoolSaturated` when the pending
@@ -35,25 +24,11 @@ receives an exit message and is joined.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import multiprocessing.connection
-import os
-import queue
 import threading
-import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..errors import ReproError, WorkerKilled
-from ..limits import Exhausted
-from ..limits.budget import CancelToken, set_cancel_token
-from ..obs.progress import set_reporter
-from ..engine.supervisor import (
-    SUPERVISOR_TICK,
-    HeartbeatCell,
-    _HeartbeatReporter,
-    _terminate,
-)
+from ..engine.supervisor import Job, WorkerPool
+from ..errors import ReproError
 from .ops import error_payload, execute_op
 
 
@@ -63,22 +38,6 @@ class PoolSaturated(ReproError):
 
 class PoolDraining(ReproError):
     """The pool is draining (SIGTERM); no new work is admitted (503)."""
-
-
-def _bridge_flag(flag, token: CancelToken, stop: threading.Event) -> None:
-    """Watcher-thread body: mirror the shared cancel byte into *token*.
-
-    The supervisor's :func:`~repro.engine.supervisor._bridge_cancel`
-    runs once per process; a warm worker needs one watcher per *task*
-    (each task gets a fresh token), so this variant also stops when the
-    task finishes — otherwise a finished task's watcher could cancel
-    the next task off a stale flag read.
-    """
-    while not stop.is_set() and not token.cancelled:
-        if flag.value:
-            token.cancel("pool-supervisor")
-            return
-        time.sleep(0.02)
 
 
 def _build_worker_engine(config: Dict[str, Any]):
@@ -96,131 +55,48 @@ def _build_worker_engine(config: Dict[str, Any]):
     )
 
 
-def _worker_main(conn, cell: HeartbeatCell, cancel_flag, config) -> None:
-    """One warm worker process: build the engine once, then serve tasks.
+def _serve_handler(config: Dict[str, Any]):
+    """A serve worker's handler: one warm engine, every request on it.
 
-    Protocol (parent → worker): ``("task", task_id, request)`` or
-    ``("exit",)``.  Worker → parent: ``("ok", task_id, response)`` or
-    ``("error", task_id, payload)`` — exactly one reply per task, with
-    unpicklable results degraded to a structured error rather than a
-    silent hang.  Runs at module scope so it pickles by reference under
-    spawn-based contexts.
+    A failing request becomes a structured error response inside the
+    worker, so the worker survives it and the reply always pickles.
+    ``execute_op`` is looked up in this module's globals per request.
     """
     engine = _build_worker_engine(config)
-    set_reporter(_HeartbeatReporter(cell))
-    cell.beat()
-    while True:
+
+    def handle(request: Dict[str, Any]) -> Dict[str, Any]:
         try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if not message or message[0] == "exit":
-            break
-        _, task_id, request = message
-        token = CancelToken()
-        set_cancel_token(token)
-        stop = threading.Event()
-        watcher = threading.Thread(
-            target=_bridge_flag, args=(cancel_flag, token, stop), daemon=True
-        )
-        watcher.start()
-        try:
-            reply = ("ok", task_id, execute_op(engine, request))
+            return execute_op(engine, request)
         except BaseException as error:
-            reply = ("error", task_id, error_payload(error))
-        finally:
-            stop.set()
-        cell.beat()
-        try:
-            conn.send(reply)
-        except Exception:
-            try:
-                conn.send(
-                    (
-                        "error",
-                        task_id,
-                        {
-                            "type": "RuntimeError",
-                            "message": "worker reply unpicklable",
-                            "kind": "internal",
-                        },
-                    )
-                )
-            except Exception:  # pragma: no cover - parent is gone
-                break
-    conn.close()
+            return {"ok": False, "error": error_payload(error)}
+
+    return handle
 
 
-class PoolJob:
-    """A future-lite: one submitted request and its eventual outcome."""
-
-    def __init__(self, task_id: int, request: Dict[str, Any]) -> None:
-        """A pending job for *request*, resolved by a slot manager."""
-        self.task_id = task_id
-        self.request = request
-        self.killed = False
-        self._done = threading.Event()
-        self._value: Optional[Dict[str, Any]] = None
-        self._error: Optional[Dict[str, Any]] = None
-
-    def _resolve(self, value: Optional[dict], error: Optional[dict]) -> None:
-        self._value = value
-        self._error = error
-        self._done.set()
+class PoolJob(Job):
+    """One submitted request (``task``, numbered by ``item``) and its response."""
 
     def result(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         """Block for the outcome and return it as a dict.
 
-        Returns the response dict, or a structured error dict
-        (``{"type", "message", "kind"}``) on failure.
+        Returns the response dict, or ``{"ok": False, "error": ...}``
+        with a structured error (``{"type", "message", "kind"}``) on
+        failure.
 
         Raises ``TimeoutError`` only when *timeout* elapses with the job
         still unresolved — worker failures resolve, they don't raise.
         """
         if not self._done.wait(timeout):
             raise TimeoutError(
-                f"pool job {self.task_id} unresolved after {timeout}s"
+                f"pool job {self.item} unresolved after {timeout}s"
             )
-        if self._error is not None:
-            return {"ok": False, "error": self._error}
-        return self._value
+        if self.error is not None:
+            return {"ok": False, "error": error_payload(self.error)}
+        return self.value
 
 
-@dataclass
-class _Slot:
-    """One worker slot: the live process and its supervision channels."""
-
-    index: int
-    process: Any = None
-    conn: Any = None
-    cell: Optional[HeartbeatCell] = None
-    cancel_flag: Any = None
-    tasks: int = 0
-
-
-@dataclass
-class _PoolStats:
-    """Pool-lifetime counters (reported by ``/healthz``)."""
-
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    kills: int = 0
-    respawns: int = 0
-    rejected: int = 0
-    lock: threading.Lock = field(default_factory=threading.Lock)
-
-    def bump(self, **deltas: int) -> None:
-        with self.lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-
-
-_SHUTDOWN = object()
-
-
-class WarmPool:
-    """N persistent supervised workers fed from one shared queue.
+class WarmPool(WorkerPool):
+    """N persistent supervised engine workers fed from one shared queue.
 
     Parameters
     ----------
@@ -231,20 +107,16 @@ class WarmPool:
         ``cache_dir``/``cache_size``/``store``/``sql_chase`` (see
         :func:`_build_worker_engine`).
     deadline:
-        Default per-request cooperative deadline, seconds (a request's
-        own ``limits.deadline`` wins when smaller is desired — the pool
-        uses the *pool* deadline for escalation regardless, since a
-        request that lies about its budget is exactly the one the
-        supervisor exists for).
+        Per-request cooperative deadline, seconds.  A request's own
+        deadline can only shorten it: the pool escalates at the smaller
+        of the two, since a request that lies about its budget is
+        exactly the one the supervisor exists for.
     grace:
         Heartbeat staleness past the deadline that triggers the kill,
         exactly as in :mod:`repro.engine.supervisor`.
     max_pending:
         Admission bound on queued-plus-running requests; ``None``
         defaults to ``4 × workers``.
-    context:
-        A ``multiprocessing`` context (tests pass one; default
-        :func:`multiprocessing.get_context`).
     """
 
     def __init__(
@@ -254,187 +126,53 @@ class WarmPool:
         deadline: Optional[float] = 30.0,
         grace: float = 2.0,
         max_pending: Optional[int] = None,
-        context=None,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
         self.engine_config = dict(engine_config or {})
         self.deadline = deadline
-        self.grace = grace
         self.max_pending = max_pending if max_pending is not None else 4 * workers
-        self.ctx = context if context is not None else multiprocessing.get_context()
-        self.stats_counters = _PoolStats()
-        self._queue: "queue.Queue" = queue.Queue()
         self._task_ids = itertools.count(1)
         self._pending = 0
         self._pending_lock = threading.Lock()
         self._draining = threading.Event()
-        self._slots = [_Slot(index=i) for i in range(workers)]
-        for slot in self._slots:
-            self._spawn(slot)
-        self._managers = [
-            threading.Thread(
-                target=self._manage, args=(slot,), daemon=True,
-                name=f"pool-manager-{slot.index}",
-            )
-            for slot in self._slots
-        ]
-        for manager in self._managers:
-            manager.start()
-
-    # -- worker lifecycle ------------------------------------------------
-
-    def _spawn(self, slot: _Slot) -> None:
-        """(Re)start *slot*'s worker: fresh process, pipe, cell, flag."""
-        slot.cell = HeartbeatCell(self.ctx)
-        slot.cancel_flag = self.ctx.RawValue("b", 0)
-        parent_conn, child_conn = self.ctx.Pipe(duplex=True)
-        slot.process = self.ctx.Process(
-            target=_worker_main,
-            args=(child_conn, slot.cell, slot.cancel_flag, self.engine_config),
-            daemon=True,
+        super().__init__(
+            workers, _serve_handler, self.engine_config,
+            grace=grace, where="service.pool", on_done=self._finish,
         )
-        slot.process.start()
-        child_conn.close()
-        slot.conn = parent_conn
-
-    def _respawn(self, slot: _Slot) -> None:
-        """Respawn a slot in place after a kill or a worker crash."""
-        try:
-            slot.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        self._spawn(slot)
-        self.stats_counters.bump(respawns=1)
-
-    # -- submission ------------------------------------------------------
 
     def submit(
         self, request: Dict[str, Any], deadline: Optional[float] = None
     ) -> PoolJob:
         """Queue one normalized request; returns its :class:`PoolJob`.
 
-        Raises :class:`PoolDraining` once :meth:`drain` has begun and
-        :class:`PoolSaturated` when admitting the request would push the
-        pending count past ``max_pending``.
+        *deadline* (the request's own) bounds the pool deadline; it
+        never extends it.  Raises :class:`PoolDraining` once
+        :meth:`drain` has begun and :class:`PoolSaturated` when
+        admitting the request would push the pending count past
+        ``max_pending``.
         """
         if self._draining.is_set():
-            self.stats_counters.bump(rejected=1)
+            self._bump(rejected=1)
             raise PoolDraining("pool is draining; not accepting work")
         with self._pending_lock:
             if self._pending >= self.max_pending:
-                self.stats_counters.bump(rejected=1)
+                self._bump(rejected=1)
                 raise PoolSaturated(
                     f"{self._pending} requests pending (limit {self.max_pending})"
                 )
             self._pending += 1
-        job = PoolJob(next(self._task_ids), request)
-        job.deadline = deadline if deadline is not None else self.deadline
-        self.stats_counters.bump(submitted=1)
-        self._queue.put(job)
-        return job
+        bounds = [d for d in (deadline, self.deadline) if d is not None]
+        job = PoolJob(
+            request, item=next(self._task_ids), deadline=min(bounds, default=None)
+        )
+        self._bump(submitted=1)
+        return super().submit(job)
 
-    def _finish(self, job: PoolJob, value=None, error=None) -> None:
+    def _finish(self, job: PoolJob) -> None:
+        """Settle the books for a finished job (before it resolves)."""
         with self._pending_lock:
             self._pending -= 1
-        self.stats_counters.bump(
-            completed=1 if error is None else 0,
-            failed=0 if error is None else 1,
-        )
-        job._resolve(value, error)
-
-    # -- the slot manager ------------------------------------------------
-
-    def _manage(self, slot: _Slot) -> None:
-        """Manager-thread body: feed and supervise one worker slot."""
-        while True:
-            job = self._queue.get()
-            if job is _SHUTDOWN:
-                self._exit_worker(slot)
-                return
-            self._run_job(slot, job)
-
-    def _run_job(self, slot: _Slot, job: PoolJob) -> None:
-        if slot.process is None or not slot.process.is_alive():
-            self._respawn(slot)
-        slot.cancel_flag.value = 0
-        try:
-            slot.conn.send(("task", job.task_id, job.request))
-        except (OSError, ValueError) as error:
-            self._respawn(slot)
-            self._finish(job, error=error_payload(error))
-            return
-        slot.tasks += 1
-        started = time.monotonic()
-        soft_at = None if job.deadline is None else started + job.deadline
-        soft_sent = False
-        while True:
-            if slot.conn.poll(SUPERVISOR_TICK):
-                try:
-                    status, task_id, payload = slot.conn.recv()
-                except (EOFError, OSError):
-                    # The worker died mid-task (crash, OOM kill).
-                    self._kill_slot(slot, job, reason="worker exited")
-                    return
-                if task_id != job.task_id:  # pragma: no cover - stale reply
-                    continue
-                if status == "ok":
-                    self._finish(job, value=payload)
-                else:
-                    self._finish(job, error=payload)
-                return
-            now = time.monotonic()
-            if soft_at is not None and now >= soft_at and not soft_sent:
-                slot.cancel_flag.value = 1
-                soft_sent = True
-            if soft_sent:
-                quiet_since = max(slot.cell.last_beat, soft_at)
-                if now - quiet_since >= self.grace:
-                    self._kill_slot(slot, job, reason="heartbeat stale")
-                    return
-
-    def _kill_slot(self, slot: _Slot, job: PoolJob, reason: str) -> None:
-        """Terminate the slot's worker, respawn in place, fail the job."""
-        pid = slot.process.pid if slot.process is not None else None
-        gauges = slot.cell.gauges() if slot.cell is not None else {}
-        if slot.process is not None and slot.process.is_alive():
-            _terminate(slot.process)
-            self.stats_counters.bump(kills=1)
-        self._respawn(slot)
-        job.killed = True
-        trace = job.request.get("trace") or {}
-        diagnosis = Exhausted(
-            resource="killed",
-            where="service.pool",
-            limit=self.grace,
-            used=reason,
-            rounds=gauges.get("rounds", 0),
-            steps=gauges.get("steps", 0),
-            trace_id=trace.get("trace_id", ""),
-            request_id=trace.get("request_id", ""),
-        )
-        self._finish(
-            job,
-            error=error_payload(
-                WorkerKilled(item=job.task_id, pid=pid, diagnosis=diagnosis)
-            ),
-        )
-
-    def _exit_worker(self, slot: _Slot) -> None:
-        """Politely stop one worker (drain path), escalating if ignored."""
-        try:
-            slot.conn.send(("exit",))
-        except (OSError, ValueError):
-            pass
-        if slot.process is not None:
-            slot.process.join(2.0)
-            if slot.process.is_alive():
-                _terminate(slot.process)
-        try:
-            slot.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        ok = job.error is None and job.value.get("ok", False)
+        self._bump(completed=int(ok), failed=int(not ok))
 
     # -- lifecycle -------------------------------------------------------
 
@@ -455,51 +193,25 @@ class WarmPool:
         every worker.  Returns ``True`` when every manager joined
         within *timeout* (``None`` = wait forever).
         """
-        if not self._draining.is_set():
-            self._draining.set()
-            for _ in self._managers:
-                self._queue.put(_SHUTDOWN)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        for manager in self._managers:
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            manager.join(remaining)
-        return all(not manager.is_alive() for manager in self._managers)
+        self._draining.set()
+        return self.close(timeout)
 
     def stats(self) -> Dict[str, Any]:
         """A snapshot of pool health for ``/healthz`` and tests."""
-        counters = self.stats_counters
-        with counters.lock:
-            snapshot = {
-                "workers": self.workers,
-                "pending": self._pending,
-                "draining": self.draining,
-                "submitted": counters.submitted,
-                "completed": counters.completed,
-                "failed": counters.failed,
-                "kills": counters.kills,
-                "respawns": counters.respawns,
-                "rejected": counters.rejected,
-                "worker_pids": [
-                    slot.process.pid
-                    for slot in self._slots
-                    if slot.process is not None
-                ],
-                "worker_tasks": [slot.tasks for slot in self._slots],
-            }
+        with self._counts_lock:
+            counts = dict(self._counts)
+        snapshot = {
+            "workers": self.workers,
+            "pending": self.pending(),
+            "draining": self.draining,
+        }
+        for name in (
+            "submitted", "completed", "failed", "kills", "respawns", "rejected"
+        ):
+            snapshot[name] = counts.get(name, 0)
+        snapshot["worker_pids"] = [slot.process.pid for slot in self._slots]
+        snapshot["worker_tasks"] = [slot.tasks for slot in self._slots]
         return snapshot
-
-
-def pool_available() -> bool:
-    """Can this host run the warm pool?  (Mirrors the supervisor gate.)"""
-    if os.environ.get("REPRO_NO_SUPERVISOR", "").strip() in ("1", "true", "yes"):
-        return False
-    try:
-        multiprocessing.get_context()
-        return True
-    except Exception:  # pragma: no cover - exotic hosts
-        return False
 
 
 __all__ = [
@@ -507,5 +219,4 @@ __all__ = [
     "PoolJob",
     "PoolSaturated",
     "WarmPool",
-    "pool_available",
 ]

@@ -36,10 +36,7 @@ from repro import (
     WorkerKilled,
     inject_faults,
 )
-from repro.engine.supervisor import (
-    run_batch_supervised,
-    supervision_available,
-)
+from repro.engine.supervisor import run_batch_supervised
 from repro.limits import Fault, trip
 from repro.limits.faults import HANG_BACKSTOP
 from repro.obs import JsonlSink, RunRegistry, tracing
@@ -48,10 +45,6 @@ MAPPING = SchemaMapping.from_text("P(x, y, z) -> Q(x, y) & R(y, z)")
 #: A chase that never reaches a fixpoint on its own — used to exercise
 #: cooperative (checkpointing) workers under supervision.
 RECURSIVE = SchemaMapping.from_text("A(x) -> E(x, y) & A(y)")
-
-pytestmark = pytest.mark.skipif(
-    not supervision_available(), reason="multiprocessing unavailable"
-)
 
 
 def _instances(n=8):
@@ -79,6 +72,14 @@ def _sudden_death_task(payload):
     """Die without shipping a result on attempt 1 (a real worker crash)."""
     value, _limits, _fault, attempt = payload
     if attempt == 1:
+        os._exit(1)
+    return value
+
+
+def _first_item_dies_task(payload):
+    """Item 0 dies on attempt 1; every other item just echoes."""
+    value, _limits, _fault, attempt = payload
+    if value == 0 and attempt == 1:
         os._exit(1)
     return value
 
@@ -163,6 +164,24 @@ class TestRunBatchSupervised:
         assert outcomes[0].ok and outcomes[0].value == 7
         assert outcomes[0].attempts == 2
         assert outcomes[0].kills == 0  # it died by itself; no kill
+
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) <= 1, reason="one CPU: batches run serially"
+    )
+    def test_worker_death_without_grace_spares_the_batch(self):
+        # No grace: the batch still runs on worker processes, and one
+        # worker dying costs only its own item an attempt — the rest of
+        # the batch, and the retry, are unaffected.
+        engine = ExchangeEngine(process_threshold=1)
+        payloads = [(i, None, None, 1) for i in range(6)]
+        outcomes = engine._run_batch(
+            payloads, _first_item_dies_task, workers=2, largest=1,
+            retries=1, effective=None,
+        )
+        assert [o.value for o in outcomes] == list(range(6))
+        assert all(o.ok and o.kills == 0 for o in outcomes)
+        assert outcomes[0].attempts == 2
+        assert all(o.attempts == 1 for o in outcomes[1:])
 
     def test_empty_batch(self):
         assert run_batch_supervised([], _echo_task, grace=0.1) == []

@@ -9,11 +9,6 @@ from repro.service.pool import (
     PoolDraining,
     PoolSaturated,
     WarmPool,
-    pool_available,
-)
-
-pytestmark = pytest.mark.skipif(
-    not pool_available(), reason="multiprocessing unavailable"
 )
 
 MAPPING = "P(x) -> Q(x)"
@@ -97,6 +92,26 @@ class TestSupervision:
         pool.submit(hang, deadline=0.5).result(60)
         response = pool.submit(_request("P(recovered)")).result(60)
         assert response["ok"]
+
+    def test_request_deadline_cannot_outlast_pool_deadline(self, tmp_path):
+        # A client-supplied deadline only shortens the pool's: the hung
+        # worker is still killed at pool deadline + grace.
+        pool = WarmPool(
+            workers=1,
+            engine_config={"cache_dir": str(tmp_path / "cache")},
+            deadline=0.5,
+            grace=0.3,
+        )
+        try:
+            hang = _request("P(h4)", fault={"kind": "hang", "seconds": 6})
+            start = time.monotonic()
+            job = pool.submit(hang, deadline=100.0)
+            response = job.result(60)
+            assert time.monotonic() - start < 4.0
+            assert job.killed and not response["ok"]
+            assert response["error"]["kind"] == "killed"
+        finally:
+            pool.drain(timeout=30)
 
     def test_cooperative_cancel_before_hard_kill(self, pool):
         # A slow-but-checkpointing task honors the soft cancel: the

@@ -34,7 +34,6 @@ from __future__ import annotations
 import time
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..deprecation import warn_deprecated_kwarg
 from ..errors import BudgetExhausted, ChaseNonTermination
 from ..homs.quotient import enumerate_quotients
 from ..homs.search import is_homomorphic
@@ -116,8 +115,7 @@ def _guard(bound: Optional[int], deadline: Optional[float], default: int):
 def disjunctive_chase(
     instance: Instance,
     dependencies: Sequence[Dependency],
-    max_rounds: Optional[int] = None,
-    max_branches: Optional[int] = None,
+    *,
     null_prefix: str = "D",
     tracer: Optional[Tracer] = None,
     branch_root: str = "b",
@@ -151,9 +149,7 @@ def disjunctive_chase(
     each finished branch exactly.
 
     Resource governance: pass ``limits`` / ``budget`` as for
-    :func:`repro.chase.standard.chase`; the ``max_rounds`` and
-    ``max_branches`` keywords are deprecated aliases for
-    ``Limits(..., on_exhausted="raise")``.  In the legacy raise mode a
+    :func:`repro.chase.standard.chase`.  In the default raise mode a
     branch exceeding the round bound raises
     :class:`ChaseNonTermination` and frontier explosion raises
     :class:`repro.errors.BudgetExhausted` (a ``RuntimeError``); in
@@ -168,27 +164,6 @@ def disjunctive_chase(
     selection examined for that firing.
     """
     dtgds: List[DisjunctiveTgd] = list(iter_disjunctive(dependencies))
-    if max_rounds is not None or max_branches is not None:
-        if max_rounds is not None:
-            warn_deprecated_kwarg(
-                "repro.disjunctive_chase", "max_rounds", "limits=Limits(...)"
-            )
-        if max_branches is not None:
-            warn_deprecated_kwarg(
-                "repro.disjunctive_chase", "max_branches", "limits=Limits(...)"
-            )
-        if limits is None and budget is None:
-            limits = Limits(
-                max_rounds=(
-                    max_rounds if max_rounds is not None else DEFAULT_MAX_ROUNDS
-                ),
-                max_branches=(
-                    max_branches
-                    if max_branches is not None
-                    else DEFAULT_MAX_BRANCHES
-                ),
-                on_exhausted="raise",
-            )
     if tracer is None:
         tracer = current_tracer()
     evaluation = resolve_evaluation(evaluation)
@@ -545,8 +520,7 @@ def reverse_disjunctive_chase(
     dependencies: Sequence[Dependency],
     result_relations: Sequence[str] | None = None,
     max_nulls: int = 8,
-    max_rounds: Optional[int] = None,
-    max_branches: Optional[int] = None,
+    *,
     minimize: bool = True,
     tracer: Optional[Tracer] = None,
     limits: Optional[Limits] = None,
@@ -567,36 +541,12 @@ def reverse_disjunctive_chase(
     One :class:`~repro.limits.Budget` (built from *limits*, or passed in
     directly) spans the whole composite — quotient enumeration and every
     per-world chase — so a deadline governs the operation end to end.
-    ``max_rounds`` / ``max_branches`` are deprecated aliases (note that
     ``max_nulls`` is *not* a limit: it bounds the quotient enumeration
-    and is part of the operation's semantics).
+    and is part of the operation's semantics.
 
     Returns a hom-minimal antichain of branch instances unless
     ``minimize=False`` (the raw set is exponentially redundant).
     """
-    if max_rounds is not None or max_branches is not None:
-        if max_rounds is not None:
-            warn_deprecated_kwarg(
-                "repro.reverse_disjunctive_chase", "max_rounds", "limits=Limits(...)"
-            )
-        if max_branches is not None:
-            warn_deprecated_kwarg(
-                "repro.reverse_disjunctive_chase",
-                "max_branches",
-                "limits=Limits(...)",
-            )
-        if limits is None and budget is None:
-            limits = Limits(
-                max_rounds=(
-                    max_rounds if max_rounds is not None else DEFAULT_MAX_ROUNDS
-                ),
-                max_branches=(
-                    max_branches
-                    if max_branches is not None
-                    else DEFAULT_MAX_BRANCHES
-                ),
-                on_exhausted="raise",
-            )
     if tracer is None:
         tracer = current_tracer()
     budget = resolve_budget(limits, budget, _LEGACY_LIMITS)

@@ -48,7 +48,6 @@ import time
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..deprecation import warn_deprecated_kwarg
 from ..errors import ChaseNonTermination
 from ..instance import Instance
 from ..limits import Budget, Exhausted, Limits, current_budget
@@ -300,7 +299,7 @@ def chase(
     instance: Instance,
     dependencies: Sequence[Dependency],
     variant: str = "restricted",
-    max_rounds: Optional[int] = None,
+    *,
     null_prefix: str = "N",
     tracer: Optional[Tracer] = None,
     limits: Optional[Limits] = None,
@@ -328,9 +327,7 @@ def chase(
     returns the tagged partial result instead of raising.  A shared
     ``budget`` (:class:`repro.limits.Budget`) may be passed instead for
     composite operations; otherwise the thread's ambient budget
-    (:func:`repro.limits.budget_scope`) applies.  The ``max_rounds``
-    keyword is a deprecated alias of ``Limits(max_rounds=...,
-    on_exhausted="raise")``.
+    (:func:`repro.limits.budget_scope`) applies.
 
     With a *tracer* (explicit, or the ambient one from
     :func:`repro.obs.tracing`) every trigger firing and minted null is
@@ -358,10 +355,6 @@ def chase(
     if variant not in ("restricted", "oblivious"):
         raise ValueError(f"unknown chase variant {variant!r}")
     evaluation = resolve_evaluation(evaluation)
-    if max_rounds is not None:
-        warn_deprecated_kwarg("repro.chase", "max_rounds", "limits=Limits(...)")
-        if limits is None and budget is None:
-            limits = Limits(max_rounds=max_rounds, on_exhausted="raise")
     if tracer is None:
         tracer = current_tracer()
     budget = resolve_budget(

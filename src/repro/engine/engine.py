@@ -78,7 +78,7 @@ _ON_ERROR = ("raise", "skip")
 
 #: The disjunctive reverse chase's historical guards, as a ``Limits``
 #: base layer (per-call/engine limits are merged on top of it).
-_LEGACY_REVERSE = Limits(max_rounds=32, on_exhausted="raise")
+_LEGACY_REVERSE = Limits(max_rounds=32, max_branches=10_000, on_exhausted="raise")
 
 
 @dataclass
@@ -616,18 +616,6 @@ class ExchangeEngine:
         """The target restriction of the chased instance (facade shape)."""
         return self.exchange(mapping, source, variant=variant, limits=limits).instance
 
-    def chase_result(
-        self,
-        mapping: SchemaMapping,
-        source: Instance,
-        variant: str = "restricted",
-        limits: Optional[Limits] = None,
-    ) -> ChaseResult:
-        """Deprecated alias shape: the legacy :class:`ChaseResult`."""
-        return self.exchange(
-            mapping, source, variant=variant, limits=limits
-        ).to_chase_result()
-
     def _run_batch(
         self,
         payloads: Sequence[tuple],
@@ -887,14 +875,11 @@ class ExchangeEngine:
     # Reverse exchange
     # ------------------------------------------------------------------
 
-    def _reverse_limits(
-        self, max_branches: int, limits: Optional[Limits]
-    ) -> Limits:
+    def _reverse_limits(self, limits: Optional[Limits]) -> Limits:
         """The disjunctive reverse chase's effective limits: the legacy
-        guards (32 rounds/branch, *max_branches* worlds, raise) as the
-        base, engine-level and per-call limits layered on top."""
-        base = _LEGACY_REVERSE.replace(max_branches=max_branches)
-        return base.merge(resolve_limits(limits, self.limits))
+        guards (32 rounds/branch, 10,000 worlds, raise) as the base,
+        engine-level and per-call limits layered on top."""
+        return _LEGACY_REVERSE.merge(resolve_limits(limits, self.limits))
 
     def _reverse_branches(
         self,
@@ -902,18 +887,10 @@ class ExchangeEngine:
         target: Instance,
         max_nulls: int,
         minimize: bool,
-        max_branches: int,
         limits: Optional[Limits] = None,
     ) -> Tuple[bool, tuple, Tuple[Instance, ...], Optional[Exhausted]]:
         """The cached disjunctive-chase branch set of one target."""
-        key = (
-            "reverse",
-            mapping.digest(),
-            target.digest(),
-            max_nulls,
-            minimize,
-            max_branches,
-        )
+        key = ("reverse", mapping.digest(), target.digest(), max_nulls, minimize)
         tracer = self._tracer()
         hit, candidates = self._caches["reverse"].get(key)
         self._cache_event(tracer, "reverse", key, hit)
@@ -931,7 +908,7 @@ class ExchangeEngine:
                         result_relations=mapping.target.names,
                         max_nulls=max_nulls,
                         minimize=minimize,
-                        limits=self._reverse_limits(max_branches, limits),
+                        limits=self._reverse_limits(limits),
                         tracer=tracer,
                         profiler=profiler,
                     )
@@ -966,7 +943,6 @@ class ExchangeEngine:
         target: Instance,
         max_nulls: int = 8,
         minimize: bool = True,
-        max_branches: int = 10_000,
         take_core: bool = False,
         limits: Optional[Limits] = None,
     ) -> ReverseResult:
@@ -981,7 +957,7 @@ class ExchangeEngine:
         """
         if reverse_mapping.is_disjunctive() or reverse_mapping.uses_inequality():
             hit, key, candidates, exhausted = self._reverse_branches(
-                reverse_mapping, target, max_nulls, minimize, max_branches, limits
+                reverse_mapping, target, max_nulls, minimize, limits
             )
             provenance = CacheProvenance(self._key_id(key), hit)
         else:
@@ -1019,15 +995,15 @@ class ExchangeEngine:
         target: Instance,
         max_nulls: int = 8,
         minimize: bool = True,
-        max_branches: int = 10_000,
         limits: Optional[Limits] = None,
     ) -> List[Instance]:
-        """Deprecated alias shape returning the raw branch list.
+        """The raw branch list of the quotient-branching reverse chase.
 
-        Exactly what ``SchemaMapping.reverse_chase`` returned: the
-        disjunctive chase's candidates, no result wrapper."""
+        Unlike :meth:`reverse`, it branches even for plain-tgd mappings
+        and returns the candidates with no result wrapper, which the
+        faithfulness and information-loss checks rely on."""
         _, _, candidates, _ = self._reverse_branches(
-            mapping, target, max_nulls, minimize, max_branches, limits
+            mapping, target, max_nulls, minimize, limits
         )
         return list(candidates)
 
@@ -1038,7 +1014,6 @@ class ExchangeEngine:
         jobs: Optional[int] = None,
         max_nulls: int = 8,
         minimize: bool = True,
-        max_branches: int = 10_000,
         take_core: bool = False,
         limits: Optional[Limits] = None,
         on_error: Optional[str] = None,
@@ -1096,11 +1071,10 @@ class ExchangeEngine:
                 target.digest(),
                 max_nulls,
                 minimize,
-                max_branches,
             ),
             head=lambda target: (reverse_mapping, target, max_nulls, minimize),
             task=reverse_task,
-            limits=self._reverse_limits(max_branches, limits),
+            limits=self._reverse_limits(limits),
             settle=lambda branches: (tuple(branches), branches.exhausted),
             fields=_reverse_fields,
             build=build,

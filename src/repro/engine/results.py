@@ -1,18 +1,15 @@
 """Typed result objects for the engine's public API.
 
-Historically the exchange entry points returned three different shapes:
-``SchemaMapping.chase`` a bare :class:`~repro.instance.Instance`,
-``chase_result`` a :class:`~repro.chase.standard.ChaseResult`, and
-``reverse_chase`` a ``List[Instance]``.  The engine normalizes them:
-
 * :class:`ExchangeResult` — forward exchange: the target restriction,
   the full chased instance, chase work counters, and cache provenance;
 * :class:`ReverseResult` — reverse exchange: the candidate source
   instances (one for tgd reverses, a branch set for disjunctive ones),
   plus the same stats/provenance envelope.
 
-The old entry points survive as thin deprecated aliases that unwrap
-these objects, so no call site breaks.
+Two shorthands unwrap them: ``chase`` returns ``ExchangeResult.instance``
+(the shape the paper's constructions compose with), and ``reverse_chase``
+returns the raw branch list of the quotient-branching chase, which it
+runs even for plain-tgd mappings.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from ..chase.standard import ChaseResult
 from ..instance import Instance
 from ..inverses.verdicts import CheckVerdict
 from ..limits import Exhausted
@@ -68,8 +64,8 @@ class ExchangeResult:
     """Outcome of a forward exchange ``chase_M(I)``.
 
     ``instance`` is the target-schema restriction (what ``chase``
-    returned historically); ``full`` the whole chased instance (source
-    facts included, what ``chase_result().instance`` returned).
+    returns); ``full`` the whole chased instance (source facts
+    included).
 
     ``exhausted`` is ``None`` for a completed chase; on a budget-limited
     run it carries the :class:`repro.limits.Exhausted` diagnosis and the
@@ -103,18 +99,6 @@ class ExchangeResult:
     def rounds(self) -> int:
         """Chase rounds performed to produce the result."""
         return self.stats.rounds
-
-    def to_chase_result(self) -> ChaseResult:
-        """The legacy :class:`ChaseResult` shape (deprecated callers)."""
-        return ChaseResult(
-            instance=self.full,
-            generated=self.generated,
-            steps=self.stats.steps,
-            rounds=self.stats.rounds,
-            exhausted=self.exhausted,
-            delta_sizes=self.stats.delta_sizes,
-            triggers_considered=self.stats.triggers_considered,
-        )
 
 
 @dataclass(frozen=True)

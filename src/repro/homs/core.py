@@ -17,7 +17,7 @@ fact exists, so single-fact probing is complete.)
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from ..instance import Instance
 from ..obs.tracer import current_tracer, maybe_span
@@ -34,22 +34,19 @@ def core(instance: Instance) -> Instance:
     tracer = current_tracer()
     current = instance
     with maybe_span(tracer, "core", input_facts=len(instance)):
-        while True:
-            if current.is_ground():
-                break
-            shrunk = _shrink_once(current)
-            if shrunk is None:
+        while not current.is_ground():
+            step = _fold_step(current)
+            if step is None:
                 break
             if tracer is not None:
                 tracer.metrics.inc("core.folds")
-            current = shrunk
+            current = current.substitute(step)
     return current
 
 
-def _shrink_once(instance: Instance) -> Instance | None:
-    """Find a retraction into a proper subinstance, or None if core already."""
-    facts = sorted(instance.facts, key=lambda f: f.sort_key())
-    for f in facts:
+def _fold_step(instance: Instance) -> Optional[Dict[Null, Value]]:
+    """A homomorphism into a proper subinstance, or None if core already."""
+    for f in sorted(instance.facts, key=lambda f: f.sort_key()):
         # Only facts containing nulls can be "folded away"; a ground fact
         # maps to itself under every homomorphism.
         if f.is_ground():
@@ -57,39 +54,31 @@ def _shrink_once(instance: Instance) -> Instance | None:
         smaller = Instance(instance.facts - {f})
         h = find_homomorphism(instance, smaller)
         if h is not None:
-            return instance.substitute(dict(h))
+            return dict(h)
     return None
 
 
 def is_core(instance: Instance) -> bool:
     """True when the instance has no proper retract."""
-    return _shrink_once(instance) is None
+    return _fold_step(instance) is None
 
 
 def retraction_to_core(instance: Instance) -> Dict[Null, Value]:
     """A homomorphism from *instance* onto its core.
 
-    Composes the per-step retractions; the identity on nulls that survive.
+    Composes the per-step retractions of :func:`core`, so
+    ``instance.substitute(retraction_to_core(instance)) == core(instance)``;
+    the identity on nulls that survive.
     """
     mapping: Dict[Null, Value] = {n: n for n in instance.nulls}
     current = instance
-    while True:
-        if current.is_ground():
-            return mapping
-        found = None
-        for f in sorted(current.facts, key=lambda f: f.sort_key()):
-            if f.is_ground():
-                continue
-            smaller = Instance(current.facts - {f})
-            h = find_homomorphism(current, smaller)
-            if h is not None:
-                found = h
-                break
-        if found is None:
-            return mapping
-        step: Dict[Null, Value] = dict(found)
+    while not current.is_ground():
+        step = _fold_step(current)
+        if step is None:
+            break
         mapping = {
             n: (step.get(v, v) if isinstance(v, Null) else v)
             for n, v in mapping.items()
         }
         current = current.substitute(step)
+    return mapping

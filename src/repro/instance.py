@@ -33,7 +33,6 @@ from typing import (
     Tuple,
 )
 
-from .deprecation import warn_deprecated_attr
 from .facts import Fact, _digest_value, fact  # noqa: F401  (re-exports)
 from .schema import Schema
 from .store.base import InstanceStore
@@ -319,43 +318,6 @@ class Instance:
                 )
             arities[f.relation] = f.arity
         return Schema.from_arities(arities)
-
-    # ------------------------------------------------------------------
-    # Deprecated internals (pre-store attribute pokes)
-    # ------------------------------------------------------------------
-
-    @property
-    def _facts(self) -> FrozenSet[Fact]:
-        """Deprecated alias of :attr:`facts` (pre-store internal)."""
-        warn_deprecated_attr("Instance", "_facts", "the facts property")
-        return self.facts
-
-    @property
-    def _relations(self) -> Dict[str, FrozenSet[Tuple[Value, ...]]]:
-        """Deprecated: the pre-store per-relation tuple map."""
-        warn_deprecated_attr("Instance", "_relations", "tuples(relation)")
-        return {
-            rel: frozenset(self._store.tuples(rel))
-            for rel in self._store.relation_names()
-        }
-
-    @property
-    def _adom(self) -> FrozenSet[Value]:
-        """Deprecated alias of :attr:`active_domain` (pre-store internal)."""
-        warn_deprecated_attr("Instance", "_adom", "the active_domain property")
-        return self.active_domain
-
-    @property
-    def _nulls(self) -> FrozenSet[Null]:
-        """Deprecated alias of :attr:`nulls` (pre-store internal)."""
-        warn_deprecated_attr("Instance", "_nulls", "the nulls property")
-        return self.nulls
-
-    @property
-    def _index(self):
-        """Deprecated: the pre-store lazy match index (now store-owned)."""
-        warn_deprecated_attr("Instance", "_index", "tuples_at(...)")
-        return getattr(self._store, "_index", None)
 
 
 class InstanceBuilder:

@@ -2,9 +2,8 @@
 
 ``Limits`` is the single resource-governance surface accepted uniformly
 by :func:`repro.chase`, :func:`repro.disjunctive_chase`, every
-:class:`repro.ExchangeEngine` operation, and the CLI — replacing the
-scattered ``max_rounds``-style keyword arguments (which survive as
-warn-once deprecation shims).
+:class:`repro.ExchangeEngine` operation, and the CLI; the chases take no
+separate ``max_rounds``-style keyword arguments.
 
 A ``Limits`` is declarative and immutable; the live accounting object
 created from it at the start of a run is :class:`repro.limits.Budget`.

@@ -32,9 +32,8 @@ InstanceBuilder`, every :class:`~repro.store.InstanceStore`, and the
 :class:`~repro.logic.delta.TriggerIndex` (whose round view powers the
 semi-naive chase — see :func:`repro.logic.delta.match_atoms_delta`).
 
-``match_atoms``/``has_match`` accept the source as the second positional
-argument, now named ``source``; the historical keyword spelling
-``instance=`` keeps working as a warn-free shim.
+``match_atoms``/``has_match`` take the source as their required second
+argument, ``source``.
 """
 
 from __future__ import annotations
@@ -202,17 +201,14 @@ def _all_guards_ok(
 
 def match_atoms(
     atoms: Sequence[Atom],
-    source: Optional[MatchSource] = None,
+    source: MatchSource,
     guards: Sequence[Guard] = (),
     initial: Optional[Mapping[Var, Value]] = None,
-    *,
-    instance: Optional[MatchSource] = None,
 ) -> Iterator[Dict[Var, Value]]:
     """Yield every binding satisfying all *atoms* and *guards* in *source*.
 
     *source* is any :class:`MatchSource` — see the module docstring for
-    the contract (``instance=`` is the historical keyword spelling and
-    keeps working, warning-free).  Bindings map exactly the variables of
+    the contract.  Bindings map exactly the variables of
     *atoms* plus those of *initial*.  With no atoms, yields the initial
     binding once (if the guards hold).
 
@@ -221,10 +217,6 @@ def match_atoms(
     sequences identical to naive ones
     (:func:`repro.logic.delta.match_atoms_delta`).
     """
-    if source is None:
-        source = instance
-        if source is None:
-            raise TypeError("match_atoms() missing required argument: 'source'")
     binding: Dict[Var, Value] = dict(initial) if initial else {}
 
     def search(pending: list, b: Dict[Var, Value]) -> Iterator[Dict[Var, Value]]:
@@ -254,13 +246,9 @@ def match_atoms(
 
 def has_match(
     atoms: Sequence[Atom],
-    source: Optional[MatchSource] = None,
+    source: MatchSource,
     guards: Sequence[Guard] = (),
     initial: Optional[Mapping[Var, Value]] = None,
-    *,
-    instance: Optional[MatchSource] = None,
 ) -> bool:
     """True when at least one binding exists (same contract as match_atoms)."""
-    if source is None:
-        source = instance
     return next(match_atoms(atoms, source, guards, initial), None) is not None

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..chase.standard import ChaseResult
 from ..instance import Instance
 from ..logic.atoms import Atom
 from ..logic.dependencies import Dependency, DisjunctiveTgd, Tgd, iter_disjunctive
@@ -219,11 +218,13 @@ class SchemaMapping:
     ):
         """``chase_M(I)`` as a normalized ``ExchangeResult``.
 
-        The recommended entry point: carries the target restriction,
-        the full chased instance, chase work counters, and cache
-        provenance.  ``chase``/``chase_result`` are its thin deprecated
-        aliases.  ``limits`` is an optional :class:`repro.limits.Limits`
-        governing the chase (partial, tagged results on exhaustion).
+        The recommended entry point: carries the target restriction
+        (``.instance``), the full chased instance (``.full``), the
+        generated facts, chase work counters (``.steps``, ``.rounds``)
+        and cache provenance.  :meth:`chase` is the shorthand for
+        ``.instance``.  ``limits`` is an optional
+        :class:`repro.limits.Limits` governing the chase (partial,
+        tagged results on exhaustion).
         """
         from ..engine import get_default_engine
 
@@ -236,15 +237,16 @@ class SchemaMapping:
         target_instance: Instance,
         max_nulls: int = 8,
         minimize: bool = True,
-        max_branches: int = 10_000,
         take_core: bool = False,
         limits=None,
     ):
         """Reverse exchange as a normalized ``ReverseResult``.
 
         Dispatches on this mapping's shape: plain tgds chase (one
-        candidate), disjunctive tgds branch (a candidate set).
-        ``reverse_chase`` is its thin deprecated alias.
+        candidate), disjunctive tgds branch (a candidate set).  The
+        disjunctive chase raises past 32 rounds per branch or 10,000
+        branches unless ``limits`` (a :class:`repro.limits.Limits`)
+        says otherwise.  :meth:`reverse_chase` always branches instead.
         """
         from ..engine import get_default_engine
 
@@ -253,7 +255,6 @@ class SchemaMapping:
             target_instance,
             max_nulls=max_nulls,
             minimize=minimize,
-            max_branches=max_branches,
             take_core=take_core,
             limits=limits,
         )
@@ -265,24 +266,12 @@ class SchemaMapping:
 
         Returns the target-schema restriction of the chased instance.
         Requires Σ to consist of plain or guarded tgds (no disjunction).
-        Deprecated alias of ``exchange(...).instance``.
+        Shorthand for ``exchange(...).instance``, the shape the paper's
+        constructions (and every ``inverses`` module) compose with.
         """
         from ..engine import get_default_engine
 
         return get_default_engine().chase(
-            self, source_instance, variant=variant, limits=limits
-        )
-
-    def chase_result(
-        self, source_instance: Instance, variant: str = "restricted", limits=None
-    ) -> ChaseResult:
-        """Full chase outcome, including step/round counts (for benchmarks).
-
-        Deprecated alias of ``exchange(...).to_chase_result()``.
-        """
-        from ..engine import get_default_engine
-
-        return get_default_engine().chase_result(
             self, source_instance, variant=variant, limits=limits
         )
 
@@ -291,7 +280,6 @@ class SchemaMapping:
         target_instance: Instance,
         max_nulls: int = 8,
         minimize: bool = True,
-        max_branches: int = 10_000,
         limits=None,
     ) -> List[Instance]:
         """Disjunctive chase of a target instance over this mapping.
@@ -301,9 +289,10 @@ class SchemaMapping:
 
         For a reverse mapping ``M' = (T, S, Σ')`` this returns the set
         ``chase_{M'}(J)`` of Definition 6.1 — the candidate recovered
-        source instances.  Deprecated alias of ``reverse(...)``; unlike
-        ``reverse`` it always runs the disjunctive chase, even for
-        plain-tgd mappings (quotient branching over the input's nulls).
+        source instances.  Unlike :meth:`reverse` it always runs the
+        quotient-branching disjunctive chase, even for plain-tgd
+        mappings, and returns the raw branch list; the faithfulness and
+        information-loss checks depend on exactly that.
         """
         from ..engine import get_default_engine
 
@@ -312,6 +301,5 @@ class SchemaMapping:
             target_instance,
             max_nulls=max_nulls,
             minimize=minimize,
-            max_branches=max_branches,
             limits=limits,
         )

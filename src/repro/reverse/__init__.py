@@ -9,9 +9,8 @@ from .exchange import (
     round_trip,
 )
 
-# Deprecated compatibility alias, bound here without touching the
-# warn-once module attribute (repro.reverse.exchange.ExchangeResult),
-# so merely importing this package stays silent.
+# Part of this package's pinned public names: the reverse result under
+# its pre-engine name (``repro.ExchangeResult`` is the *forward* result).
 ExchangeResult = ReverseResult
 from .pipeline import EvolutionPipeline, Hop
 from .query_answering import (

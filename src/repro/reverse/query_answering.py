@@ -52,14 +52,9 @@ def reverse_certain_answers(
     specified by disjunctive tgds; the computation itself runs for any
     reverse mapping.
     """
-    target = mapping.chase(source)
-    if reverse_mapping.is_disjunctive() or reverse_mapping.uses_inequality():
-        branches: Sequence[Instance] = reverse_mapping.reverse_chase(
-            target, max_nulls=max_nulls
-        )
-    else:
-        branches = [reverse_mapping.chase(target)]
-    return certain_answers_over_set(query, branches)
+    return reverse_certain_answers_from_target(
+        reverse_mapping, query, mapping.chase(source), max_nulls=max_nulls
+    )
 
 
 def reverse_certain_answers_from_target(
@@ -73,12 +68,7 @@ def reverse_certain_answers_from_target(
     The practically relevant entry point: the original source is no
     longer available, only the exchanged target is.
     """
-    if reverse_mapping.is_disjunctive() or reverse_mapping.uses_inequality():
-        branches: Sequence[Instance] = reverse_mapping.reverse_chase(
-            target, max_nulls=max_nulls
-        )
-    else:
-        branches = [reverse_mapping.chase(target)]
+    branches = reverse_mapping.reverse(target, max_nulls=max_nulls).candidates
     return certain_answers_over_set(query, branches)
 
 

@@ -386,6 +386,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
+    def _refuse(self, op: str, message: str, headers: Dict[str, str]) -> None:
+        """Reply 400 for a request the wire layer cannot accept."""
+        error = {"type": "ServiceRequestError", "message": message, "kind": "invalid"}
+        self._reply(400, {"op": op, "ok": False, "error": error}, headers=headers)
+
     def _reply_text(self, status: int, text: str, content_type: str) -> None:
         data = text.encode("utf-8")
         self.send_response(status)
@@ -447,38 +452,26 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         op = parts[1]
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > self.MAX_BODY:
-            self._reply(
-                400,
-                {
-                    "op": op,
-                    "ok": False,
-                    "error": {
-                        "type": "ServiceRequestError",
-                        "message": f"body too large ({length} bytes)",
-                        "kind": "invalid",
-                    },
-                },
-                headers=echo,
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= self.MAX_BODY:
+            # The body is left unread, so the connection cannot be
+            # resynchronized: reply, then close it.
+            self._refuse(
+                op,
+                f"body too large ({length} bytes)"
+                if length > self.MAX_BODY
+                else f"invalid Content-Length {declared!r}",
+                {**echo, "Connection": "close"},
             )
             return
         try:
             body = json.loads(self.rfile.read(length) or b"{}")
         except (ValueError, OSError) as error:
-            self._reply(
-                400,
-                {
-                    "op": op,
-                    "ok": False,
-                    "error": {
-                        "type": "ServiceRequestError",
-                        "message": f"request body is not valid JSON: {error}",
-                        "kind": "invalid",
-                    },
-                },
-                headers=echo,
-            )
+            self._refuse(op, f"request body is not valid JSON: {error}", echo)
             return
         try:
             status, payload = self.service.handle(op, body, context=context)

@@ -95,7 +95,9 @@ def _parse_limits(body: Dict[str, Any]) -> Optional[Dict[str, Any]]:
         value = raw.get(name)
         if value is None:
             continue
-        if not isinstance(value, (int, float)) or value <= 0:
+        # bool is an int subclass: JSON true must not read as 1.
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not numeric or value <= 0:
             raise ServiceRequestError(f"limits.{name} must be a positive number")
         values[name] = value
     try:
@@ -171,7 +173,10 @@ def validate_request(
         request["variant"] = variant
     elif op == "reverse":
         request["max_nulls"] = _positive_int(body, "max_nulls", 8)
-        request["take_core"] = bool(body.get("take_core", True))
+        take_core = body.get("take_core", True)
+        if not isinstance(take_core, bool):
+            raise ServiceRequestError("'take_core' must be a boolean")
+        request["take_core"] = take_core
     elif op == "audit":
         if body.get("reverse") is not None:
             reverse = _parse_mapping(body, "reverse")

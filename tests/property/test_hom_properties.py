@@ -7,7 +7,7 @@ cores) are load-bearing for every extended notion in the paper.
 
 from hypothesis import given, settings
 
-from repro.homs.core import core, is_core
+from repro.homs.core import core, is_core, retraction_to_core
 from repro.homs.search import (
     find_homomorphism,
     is_hom_equivalent,
@@ -89,6 +89,13 @@ def test_core_is_hom_equivalent_and_minimal(inst):
 def test_core_idempotent(inst):
     c = core(inst)
     assert core(c) == c
+
+
+@given(instances(max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_retraction_image_is_the_core(inst):
+    """The composed retraction lands exactly on core(I), not just up to →."""
+    assert inst.substitute(retraction_to_core(inst)) == core(inst)
 
 
 @given(instances(allow_nulls=False, max_size=4))

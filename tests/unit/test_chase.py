@@ -14,6 +14,7 @@ from repro.chase.standard import (
 )
 from repro.homs.search import is_hom_equivalent, is_homomorphic
 from repro.instance import Instance
+from repro.limits import Limits
 from repro.logic.atoms import atom
 from repro.parsing.parser import parse_dependencies, parse_dependency
 
@@ -82,7 +83,12 @@ class TestStandardChase:
     def test_nontermination_guard(self):
         deps = parse_dependencies("A(x) -> EXISTS y . A(y)")
         with pytest.raises(ChaseNonTermination):
-            chase(Instance.parse("A(a)"), deps, variant="oblivious", max_rounds=3)
+            chase(
+                Instance.parse("A(a)"),
+                deps,
+                variant="oblivious",
+                limits=Limits(max_rounds=3, on_exhausted="raise"),
+            )
 
     def test_guarded_tgd_constant(self):
         deps = parse_dependencies("R(x, y) & Constant(x) -> P(x)")
@@ -153,7 +159,9 @@ class TestDisjunctiveChase:
         deps = [parse_dependency("R(x) -> P(x) | Q(x)")]
         inst = Instance.parse(", ".join(f"R({chr(ord('a') + i)})" for i in range(12)))
         with pytest.raises(RuntimeError):
-            disjunctive_chase(inst, deps, max_branches=100)
+            disjunctive_chase(
+                inst, deps, limits=Limits(max_branches=100, on_exhausted="raise")
+            )
 
 
 class TestMinimizeBranches:

@@ -15,7 +15,6 @@ from repro import (
 from repro.engine.cache import LRUCache
 from repro.homs.core import core as plain_core
 from repro.parsing.parser import parse_query
-from repro.reverse.exchange import ExchangeResult as LegacyReverseAlias
 from repro.reverse.exchange import reverse_exchange
 
 
@@ -292,16 +291,6 @@ class TestResultShapes:
         assert result.steps == 1 and result.rounds >= 1
         assert result.provenance.key
 
-    def test_to_chase_result_roundtrip(self, decomposition_mapping):
-        source = Instance.parse("P(a, b, c)")
-        via_engine = ExchangeEngine().exchange(
-            decomposition_mapping, source
-        ).to_chase_result()
-        legacy = decomposition_mapping.chase_result(source)
-        assert via_engine.instance == legacy.instance
-        assert via_engine.generated == legacy.generated
-        assert via_engine.steps == legacy.steps
-
     def test_reverse_result_unique_raises_on_branches(
         self, disjunctive_mapping
     ):
@@ -313,7 +302,6 @@ class TestResultShapes:
         assert result.instances == result.candidates
 
     def test_legacy_reverse_alias_is_reverse_result(self):
-        assert LegacyReverseAlias is ReverseResult
         mapping = SchemaMapping.from_text("Q(x, y) -> P(x, y)")
         result = reverse_exchange(mapping, Instance.parse("Q(a, b)"))
         assert isinstance(result, ReverseResult)
@@ -380,9 +368,6 @@ class TestStatsIntrospection:
         again = engine.exchange(decomposition_mapping, source)
         assert again.stats.triggers_considered == result.stats.triggers_considered
         assert engine.stats()["chase"]["triggers"] == result.stats.triggers_considered
-        legacy = result.to_chase_result()
-        assert legacy.triggers_considered == result.stats.triggers_considered
-        assert legacy.delta_sizes == result.stats.delta_sizes
 
     def test_clear_empties_caches(self, decomposition_mapping):
         engine = ExchangeEngine()

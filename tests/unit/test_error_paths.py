@@ -10,6 +10,7 @@ from repro.chase.disjunctive import disjunctive_chase, reverse_disjunctive_chase
 from repro.chase.standard import ChaseNonTermination, chase
 from repro.homs.quotient import QuotientExplosion
 from repro.instance import Instance
+from repro.limits import Limits
 from repro.logic.atoms import atom
 from repro.logic.dependencies import Tgd
 from repro.mappings.schema_mapping import SchemaMapping
@@ -22,14 +23,20 @@ class TestChaseGuards:
         dep = parse_dependency("A(x) -> EXISTS y . E(x, y) & A(y)")
         with pytest.raises((ChaseNonTermination, RuntimeError)):
             disjunctive_chase(
-                Instance.parse("A(a)"), [dep], max_rounds=4, max_branches=50
+                Instance.parse("A(a)"),
+                [dep],
+                limits=Limits(max_rounds=4, max_branches=50, on_exhausted="raise"),
             )
 
     def test_lazy_disjunct_reuse_terminates(self):
         # The same shape WITH an escape disjunct quiesces: the recursive
         # disjunct is satisfied by any existing A fact once one exists.
         dep = parse_dependency("A(x) -> (EXISTS y . A(y)) | B(x)")
-        branches = disjunctive_chase(Instance.parse("A(a)"), [dep], max_rounds=8)
+        branches = disjunctive_chase(
+            Instance.parse("A(a)"),
+            [dep],
+            limits=Limits(max_rounds=8, on_exhausted="raise"),
+        )
         assert branches
 
     def test_reverse_chase_quotient_guard(self):
@@ -89,9 +96,9 @@ class TestSchemaMappingErrors:
         # Facts over relations the mapping does not read simply do not
         # trigger anything — but they survive the full chase instance.
         m = SchemaMapping.from_text("P(x) -> Q(x)")
-        result = m.chase_result(Instance.parse("P(a), Zzz(b)"))
-        assert Instance.parse("Q(a)") <= result.instance
-        assert Instance.parse("Zzz(b)") <= result.instance
+        result = m.exchange(Instance.parse("P(a), Zzz(b)"))
+        assert Instance.parse("Q(a)") <= result.full
+        assert Instance.parse("Zzz(b)") <= result.full
 
     def test_empty_mapping_is_the_total_relation(self):
         # Σ = ∅ is legal (every pair satisfies it); the chase is a no-op.

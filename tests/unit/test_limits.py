@@ -194,14 +194,6 @@ class TestChasePartialResults:
         with pytest.raises(ChaseNonTermination):
             chase(PAB, [RECURSIVE])
 
-    def test_deprecated_max_rounds_kwarg_warns_and_raises(self):
-        from repro.deprecation import reset_warned
-
-        reset_warned()
-        with pytest.warns(DeprecationWarning, match="max_rounds"):
-            with pytest.raises(ChaseNonTermination):
-                chase(PAB, [RECURSIVE], max_rounds=3)
-
 
 class TestDisjunctivePartialResults:
     DEPS = parse_dependencies("P(x, y) -> EXISTS z . P(y, z)")

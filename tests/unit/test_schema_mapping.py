@@ -108,7 +108,7 @@ class TestChaseWrappers:
 
     def test_chase_result_counts(self):
         m = SchemaMapping.from_text("P(x) -> Q(x)")
-        res = m.chase_result(Instance.parse("P(a), P(b)"))
+        res = m.exchange(Instance.parse("P(a), P(b)"))
         assert res.steps == 2
 
     def test_chase_output_is_solution(self):

@@ -1,6 +1,7 @@
 """Unit tests for the service core and its HTTP front end."""
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -94,10 +95,19 @@ class TestValidation:
             validate_request("chase", _body(mapping="((("))
 
     def test_bad_limits(self):
-        with pytest.raises(ServiceRequestError):
-            validate_request("chase", _body(limits={"deadline": -1}))
-        with pytest.raises(ServiceRequestError):
-            validate_request("chase", _body(limits={"nope": 1}))
+        for limits in (
+            {"deadline": -1},
+            {"nope": 1},
+            {"max_rounds": True},
+            {"deadline": True},
+            {"max_rounds": "5"},
+        ):
+            with pytest.raises(ServiceRequestError):
+                validate_request("chase", _body(limits=limits))
+
+    def test_bad_take_core(self):
+        with pytest.raises(ServiceRequestError, match="take_core"):
+            validate_request("reverse", _body(take_core="false"))
 
     def test_fault_needs_opt_in(self):
         with pytest.raises(ServiceRequestError):
@@ -322,6 +332,31 @@ class TestWire:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=30)
         assert err.value.code == 400
+
+    @pytest.mark.parametrize("declared", ["-1", "abc"])
+    def test_bad_content_length_400(self, live, declared):
+        # Raw socket: urllib cannot send a malformed Content-Length.  The
+        # short timeout turns a handler stuck reading the body into a
+        # failure instead of a hang.
+        host, port = live.server.server_address
+        request = (
+            f"POST /v1/chase HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {declared}\r\nX-Repro-Request-Id: bad-length\r\n"
+            "\r\n"
+        ).encode()
+        with socket.create_connection((host, port), timeout=3) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        lines = head.decode().split("\r\n")
+        assert lines[0].split()[1] == "400"
+        assert "X-Repro-Request-Id: bad-length" in lines
+        error = json.loads(body)["error"]
+        assert error["type"] == "ServiceRequestError"
+        assert error["kind"] == "invalid"
+        assert declared in error["message"]
 
     def test_metrics_endpoint(self, live):
         live.post("/v1/chase", _body())

@@ -220,14 +220,6 @@ class TestMatchingApi:
         assert list(match_atoms(premise, inst)) == list(match_atoms(premise, index))
         assert has_match(premise, index)
 
-    def test_instance_keyword_shim(self):
-        premise = (atom("P", "x"),)
-        inst = Instance.parse("P(a)")
-        assert list(match_atoms(premise, instance=inst)) == list(
-            match_atoms(premise, inst)
-        )
-        assert has_match(premise, instance=inst)
-
     def test_missing_source_raises(self):
         with pytest.raises(TypeError, match="source"):
             next(match_atoms((atom("P", "x"),)))
